@@ -5,15 +5,10 @@
  *
  * Measures wall-clock simulated-accesses-per-second for each (workload x
  * policy) cell of a fixed zipf+GAP matrix and writes
- * `BENCH_throughput.json` next to the CSV. Two knobs select the engine
- * configuration under test:
- *
- *   --live     generate ops live in the loop (default: record the op
- *              stream once per workload and replay it — bit-identical
- *              results, generator off the hot path; see
- *              workloads/trace.h)
- *   --legacy   force per-access policy dispatch (default: batched
- *              execution; results are bit-identical either way)
+ * `BENCH_throughput.json` next to the CSV. `--live` generates ops live
+ * in the loop (default: record the op stream once per workload and
+ * replay it — bit-identical results, generator off the hot path; see
+ * workloads/trace.h).
  *
  * Methodology: each cell runs `--reps N` times (default 3) and reports
  * the best run (minimum wall time) — the standard way to strip scheduler
@@ -52,7 +47,6 @@
 
 #include "common/bench_util.h"
 #include "common/table.h"
-#include "obs/stage_profiler.h"
 #include "workloads/trace.h"
 
 namespace hybridtier::bench {
@@ -80,46 +74,21 @@ struct Options {
   unsigned jobs = 0;
   unsigned reps = 3;
   bool live = false;     //!< Generate ops in the loop (no replay).
-  bool legacy = false;   //!< Per-access policy dispatch.
   std::string check_file;
   double min_ratio = 0.9;
-  /**
-   * >0 enables the load-immune engine gate: measure the legacy-dispatch
-   * live-generation configuration in the same invocation and require
-   * the primary configuration's per-policy geomean to stay at least
-   * this factor above it. Both sides slow down together under host
-   * load or on weaker hardware, so the ratio detects genuine engine
-   * regressions where an absolute accesses/sec floor cannot.
-   */
-  double check_relative = 0.0;
-  /**
-   * Sample every Nth op through a StageProfiler and print the
-   * per-stage ns/access breakdown (generation / cache / policy /
-   * sampler / migration / accounting) after the table. The sampled
-   * clock reads inflate wall times slightly, so don't combine with
-   * --check runs whose numbers you intend to commit.
-   */
-  bool profile_stages = false;
 };
 
 [[noreturn]] void Usage(const char* argv0, int code) {
   std::printf(
-      "usage: %s [--jobs N] [--reps N] [--live] [--legacy]\n"
+      "usage: %s [--jobs N] [--reps N] [--live]\n"
       "          [--check FILE] [--min-ratio R]\n"
       "  --jobs N      sweep worker threads (timings are only stable\n"
       "                with --jobs 1)\n"
       "  --reps N      runs per cell; the best is reported (default 3)\n"
       "  --live        generate ops live instead of trace replay\n"
-      "  --legacy      per-access policy dispatch instead of batched\n"
       "  --check FILE  fail if any per-policy geomean falls below\n"
       "                min-ratio x FILE's \"current\" geomean\n"
-      "  --min-ratio R regression tolerance for --check (default 0.9)\n"
-      "  --check-relative R  also measure the legacy+live engine in\n"
-      "                this invocation and fail if the primary engine's\n"
-      "                geomean advantage falls below R (load-immune)\n"
-      "  --profile-stages  sample engine stages (generation, cache,\n"
-      "                policy, sampler, migration, accounting) and\n"
-      "                print the per-policy ns/access breakdown\n",
+      "  --min-ratio R regression tolerance for --check (default 0.9)\n",
       argv0);
   std::exit(code);
 }
@@ -151,25 +120,12 @@ Options ParseArgs(int argc, char** argv) {
       options.live = true;
       continue;
     }
-    if (arg == "--legacy") {
-      options.legacy = true;
-      continue;
-    }
     if (arg == "--check") {
       options.check_file = next_value("--check");
       continue;
     }
     if (arg == "--min-ratio") {
       options.min_ratio = std::strtod(next_value("--min-ratio"), nullptr);
-      continue;
-    }
-    if (arg == "--check-relative") {
-      options.check_relative =
-          std::strtod(next_value("--check-relative"), nullptr);
-      continue;
-    }
-    if (arg == "--profile-stages") {
-      options.profile_stages = true;
       continue;
     }
     std::fprintf(stderr, "unknown option '%s' (try --help)\n", arg.c_str());
@@ -186,26 +142,17 @@ struct CellResult {
   double maccs = 0.0;  //!< Million simulated accesses per wall second.
 };
 
-uint64_t NowNs() {
+uint64_t MonotonicNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-SimulationConfig CellConfig(bool legacy) {
-  SimulationConfig config;
-  config.max_accesses = kAccessBudget;
-  config.seed = kSeed;
-  config.batch_execution = !legacy;
-  return config;
 }
 
 /** Runs one cell `reps` times; returns the best (min-wall) run. */
 CellResult MeasureCell(const std::string& workload_id,
                        const std::string& policy_name,
                        const std::shared_ptr<const RecordedTrace>& trace,
-                       unsigned reps, bool legacy,
-                       StageProfiler* profiler) {
+                       unsigned reps) {
   CellResult cell;
   cell.workload = workload_id;
   cell.policy = policy_name;
@@ -223,14 +170,14 @@ CellResult MeasureCell(const std::string& workload_id,
       workload = live_workload.get();
     }
     auto policy = MakePolicy(policy_name);
-    SimulationConfig config = CellConfig(legacy);
-    // The profiler accumulates across all reps of this cell.
-    config.telemetry.stages = profiler;
+    SimulationConfig config;
+    config.max_accesses = kAccessBudget;
+    config.seed = kSeed;
     Simulation simulation(config, workload, policy.get());
-    const uint64_t start = NowNs();
+    const uint64_t start = MonotonicNs();
     const SimulationResult result = simulation.Run();
     const double wall_s =
-        static_cast<double>(NowNs() - start) / 1e9;
+        static_cast<double>(MonotonicNs() - start) / 1e9;
     cell.accesses = result.accesses;
     cell.best_wall_s = std::min(cell.best_wall_s, wall_s);
   }
@@ -238,16 +185,11 @@ CellResult MeasureCell(const std::string& workload_id,
   return cell;
 }
 
-/**
- * Measures the whole matrix in one configuration. When `profilers` is
- * non-null it must hold one StageProfiler per grid cell; each cell
- * writes only its own slot (safe under --jobs).
- */
+/** Measures the whole matrix. */
 std::vector<CellResult> MeasureMatrix(
-    const Options& options, bool live, bool legacy,
+    const Options& options,
     const std::map<std::string, std::shared_ptr<const RecordedTrace>>&
-        traces,
-    std::vector<StageProfiler>* profilers = nullptr) {
+        traces) {
   SweepGrid grid;
   grid.AddAxis("workload", Workloads());
   grid.AddAxis("policy", Policies());
@@ -258,10 +200,8 @@ std::vector<CellResult> MeasureMatrix(
     const std::string& workload_id = cell.Get("workload");
     auto it = traces.find(workload_id);
     return MeasureCell(workload_id, cell.Get("policy"),
-                       live || it == traces.end() ? nullptr : it->second,
-                       options.reps, legacy,
-                       profilers == nullptr ? nullptr
-                                            : &(*profilers)[cell.index()]);
+                       it == traces.end() ? nullptr : it->second,
+                       options.reps);
   });
 }
 
@@ -286,8 +226,6 @@ void WriteJson(const std::string& path, const Options& options,
       << "  \"bench\": \"bench_throughput\",\n"
       << "  \"generation\": \""
       << (options.live ? "live" : "replay") << "\",\n"
-      << "  \"engine\": \"" << (options.legacy ? "legacy" : "batch")
-      << "\",\n"
       << "  \"access_budget\": " << kAccessBudget << ",\n"
       << "  \"reps\": " << options.reps << ",\n"
       << "  \"cells\": [\n";
@@ -368,8 +306,7 @@ int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
   Banner("bench_throughput",
          std::string("simulator accesses/sec, ") +
-             (options.live ? "live generation" : "trace replay") + ", " +
-             (options.legacy ? "legacy dispatch" : "batched execution"));
+             (options.live ? "live generation" : "trace replay"));
 
   // Record each workload's op stream once, outside the timed region;
   // every policy cell replays the same immutable trace.
@@ -388,13 +325,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<StageProfiler> profilers;
-  if (options.profile_stages) {
-    profilers.resize(Workloads().size() * Policies().size());
-  }
-  const std::vector<CellResult> cells = MeasureMatrix(
-      options, options.live, options.legacy, traces,
-      options.profile_stages ? &profilers : nullptr);
+  const std::vector<CellResult> cells = MeasureMatrix(options, traces);
 
   TablePrinter table({"workload", "policy", "accesses", "best wall (s)",
                       "Macc/s"});
@@ -416,23 +347,6 @@ int main(int argc, char** argv) {
                 policy.c_str(), value);
   }
 
-  if (options.profile_stages) {
-    // One merged breakdown per policy (across its workloads), then the
-    // whole-matrix aggregate — the measured version of the ROADMAP's
-    // ns/access floor attribution.
-    for (const std::string& policy : Policies()) {
-      StageProfiler merged;
-      for (size_t i = 0; i < cells.size(); ++i) {
-        if (cells[i].policy == policy) merged.Merge(profilers[i]);
-      }
-      std::printf("[bench_throughput] stage profile: %s\n%s",
-                  policy.c_str(), merged.Report().c_str());
-    }
-    StageProfiler all;
-    for (const StageProfiler& profiler : profilers) all.Merge(profiler);
-    std::printf("[bench_throughput] stage profile: all policies\n%s",
-                all.Report().c_str());
-  }
   // Never clobber a committed trajectory file: the repo-root
   // BENCH_throughput.json carries the curated baseline_pre_pr /
   // current sections the regression gate reads, and this binary run
@@ -479,34 +393,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (options.check_relative > 0.0) {
-    // Load-immune engine gate: the reference (legacy dispatch, live
-    // generation) runs on the same machine in the same minute, so host
-    // speed and neighbor load cancel out of the ratio.
-    std::printf("[bench_throughput] measuring legacy+live reference for "
-                "the relative gate\n");
-    const std::vector<CellResult> reference = MeasureMatrix(
-        options, /*live=*/true, /*legacy=*/true, traces);
-    const std::map<std::string, double> reference_geomeans =
-        GeomeansByPolicy(reference);
-    bool failed = false;
-    for (const auto& [policy, value] : geomeans) {
-      const double ref = reference_geomeans.at(policy);
-      const double ratio = ref > 0.0 ? value / ref : 0.0;
-      const bool below = ratio < options.check_relative;
-      std::printf("[bench_throughput] relative %s: %.2f vs legacy+live "
-                  "%.2f = %.2fx (floor %.2fx) %s\n",
-                  policy.c_str(), value, ref, ratio,
-                  options.check_relative, below ? "FAIL" : "ok");
-      failed |= below;
-    }
-    if (failed) {
-      std::fprintf(stderr,
-                   "[bench_throughput] engine advantage fell below "
-                   "%.2fx of the legacy path\n",
-                   options.check_relative);
-      return 1;
-    }
-  }
   return 0;
 }

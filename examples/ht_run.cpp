@@ -124,11 +124,8 @@ void PrintUsage() {
          "                    per-component latency decomposition plus\n"
          "                    the migration reason/mis-tiering audit\n"
          "                    after the run (see README \"Diagnosis\")\n"
-         "  --profile-stages [wall|virtual]\n"
-         "                    per-stage engine profile; wall samples\n"
-         "                    the real clock (default, measurement),\n"
-         "                    virtual buckets simulated ns for every op\n"
-         "                    (deterministic, byte-identical)\n"
+         "  --profile-stages  per-stage profile of every op's simulated\n"
+         "                    ns (deterministic, byte-identical)\n"
          "  --log-level <l>   debug | info | warn | error | silent\n"
          "                    (default info)\n";
 }
@@ -163,7 +160,6 @@ void WriteTraceFile(const std::string& path,
 
 /** Prints the post-run diagnosis blocks for the attached sinks. */
 void PrintDiagnosis(bool diagnose, bool profile_stages,
-                    bool profile_virtual,
                     const LatencyAttribution& attribution,
                     const DecisionAudit& audit,
                     const StageProfiler& stages) {
@@ -174,10 +170,7 @@ void PrintDiagnosis(bool diagnose, bool profile_stages,
               << audit.Report();
   }
   if (profile_stages) {
-    std::cout << "stage profile ("
-              << (profile_virtual ? "virtual ns, deterministic"
-                                  : "wall ns, measurement")
-              << "):\n"
+    std::cout << "stage profile (virtual ns, deterministic):\n"
               << stages.Report();
   }
 }
@@ -242,7 +235,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   bool diagnose = false;
   bool profile_stages = false;
-  bool profile_virtual = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -361,13 +353,6 @@ int main(int argc, char** argv) {
       diagnose = true;
     } else if (arg == "--profile-stages") {
       profile_stages = true;
-      // Optional mode operand: --profile-stages wall | virtual.
-      if (i + 1 < argc && std::strcmp(argv[i + 1], "virtual") == 0) {
-        profile_virtual = true;
-        ++i;
-      } else if (i + 1 < argc && std::strcmp(argv[i + 1], "wall") == 0) {
-        ++i;
-      }
     } else if (arg == "--log-level") {
       SetLogLevel(ParseLogLevel(next()));
     } else {
@@ -454,7 +439,7 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) config.telemetry.trace = &trace;
     LatencyAttribution attribution;
     DecisionAudit audit;
-    StageProfiler stages(profile_virtual ? 1 : 64, profile_virtual);
+    StageProfiler stages;
     if (diagnose) {
       config.telemetry.attribution = &attribution;
       config.telemetry.audit = &audit;
@@ -511,8 +496,7 @@ int main(int argc, char** argv) {
                 << " evacuated / " << result.fault.spilled_pages
                 << " spilled pages\n";
     }
-    PrintDiagnosis(diagnose, profile_stages, profile_virtual,
-                   attribution, audit, stages);
+    PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
     return 0;
   }
 
@@ -631,7 +615,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) config.telemetry.trace = &trace;
   LatencyAttribution attribution;
   DecisionAudit audit;
-  StageProfiler stages(profile_virtual ? 1 : 64, profile_virtual);
+  StageProfiler stages;
   if (diagnose) {
     config.telemetry.attribution = &attribution;
     config.telemetry.audit = &audit;
@@ -676,7 +660,6 @@ int main(int argc, char** argv) {
               << " spilled pages (" << result.fault.evac_retries
               << " backoff retries)\n";
   }
-  PrintDiagnosis(diagnose, profile_stages, profile_virtual, attribution,
-                 audit, stages);
+  PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
   return 0;
 }

@@ -48,26 +48,18 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     }
   }
 
-  if (config.topology.empty()) {
-    // No topology configured: the exact legacy construction path (one
-    // endpoint from the default slow tier), pinned bit-identical by
-    // the golden determinism tests.
-    memory_ = std::make_unique<TieredMemory>(
-        footprint_units_, fast_capacity_units_, footprint_units_,
-        config.allocation);
-    perf_ = std::make_unique<PerfModel>(
-        config_.perf, DefaultFastTier(fast_capacity_units_),
-        DefaultSlowTier(footprint_units_));
-  } else {
-    const Topology topology = ParseTopologySpec(config.topology);
-    memory_ = std::make_unique<TieredMemory>(
-        footprint_units_, fast_capacity_units_, footprint_units_,
-        config.allocation, topology.endpoint_count(),
-        topology.interleave_units);
-    perf_ = std::make_unique<PerfModel>(
-        config_.perf, DefaultFastTier(fast_capacity_units_),
-        DefaultSlowTier(footprint_units_), topology);
-  }
+  // No topology configured means one endpoint with the paper-default
+  // slow tier (124 ns, 34 GB/s).
+  const Topology topology = config.topology.empty()
+                                ? DefaultTopology()
+                                : ParseTopologySpec(config.topology);
+  memory_ = std::make_unique<TieredMemory>(
+      footprint_units_, fast_capacity_units_, footprint_units_,
+      config.allocation, topology.endpoint_count(),
+      topology.interleave_units);
+  perf_ = std::make_unique<PerfModel>(
+      config_.perf, DefaultFastTier(fast_capacity_units_),
+      DefaultSlowTier(footprint_units_), topology);
   hierarchy_ = std::make_unique<CacheHierarchy>(config.cache);
   migration_ =
       std::make_unique<MigrationEngine>(memory_.get(), perf_.get(),
@@ -108,11 +100,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   context.fast_capacity_units = fast_capacity_units_;
   policy_->Bind(context);
 
-  // Resolve the dispatch mode once: the policy's declared interest, or
-  // forced per-access legacy dispatch when batching is disabled.
-  access_interest_ = config.batch_execution
-                         ? policy_->access_interest()
-                         : AccessInterest::kInline;
+  access_interest_ = policy_->access_interest();
   access_events_.reserve(256);
   sample_buffer_.reserve(1024);
 
@@ -662,15 +650,7 @@ void Simulation::FlushMetadataTraffic() {
   metadata_counter_.Clear();
 }
 
-template <bool kProfiled>
-void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
-  // Per-stage wall accumulators; the whole block folds away in the
-  // unprofiled instantiation (the common case — profiling samples one
-  // op in N, everything else runs this function with zero clock reads).
-  [[maybe_unused]] uint64_t cache_wall = 0;
-  [[maybe_unused]] uint64_t policy_wall = 0;
-  [[maybe_unused]] uint64_t sampler_wall = 0;
-
+void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
   // Diagnosis feeds are guarded per site: a null attribution/audit
   // pointer (the default) costs one predicted branch and changes no
   // modeled quantity, so the disabled path stays bit-identical.
@@ -693,9 +673,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   const bool batch_policy = access_interest_ == AccessInterest::kBatched;
 
   for (size_t i = 0; i < count; ++i) {
-    [[maybe_unused]] uint64_t t0 = 0, t1 = 0, t2 = 0;
-    if constexpr (kProfiled) t0 = StageProfiler::NowNs();
-
     const MemoryAccess& access = accesses[i];
     const PageId unit = TrackingUnitOfAddr(access.addr, mode);
     const TouchResult touch = memory_->Touch(unit, now_);
@@ -764,13 +741,9 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
         attr_->AddHintFault(attr_tenant, perf_->HintFaultLatency());
       }
     }
-    if constexpr (kProfiled) {
-      t1 = StageProfiler::NowNs();
-      cache_wall += t1 - t0;
-    }
 
     if (inline_policy) {
-      // Legacy-exact dispatch: the policy may migrate or touch metadata
+      // Per-access dispatch: the policy may migrate or touch metadata
       // here, and the next access must observe both.
       policy_->OnAccess(unit, touch, now_);
       if (!metadata_counter_.empty()) FlushMetadataTraffic();
@@ -779,10 +752,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     }
     // Policies with no access interest (the sample-driven designs) pay
     // nothing here at all.
-    if constexpr (kProfiled) {
-      t2 = StageProfiler::NowNs();
-      policy_wall += t2 - t1;
-    }
 
     if (budgeted_sampler_ != nullptr) {
       budgeted_sampler_->OnAccess(tenant_source_->last_tenant(), unit,
@@ -790,52 +759,34 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     } else {
       sampler_->OnAccess(unit, touch.tier, now_);
     }
-    if constexpr (kProfiled) sampler_wall += StageProfiler::NowNs() - t2;
 
     now_ += latency;
     op_latency += latency;
   }
   accesses_ += count;
   // Memory-service ns of this op (everything but overhead and stalls);
-  // the virtual-time stage profile's kCache bucket.
-  [[maybe_unused]] const TimeNs access_ns =
-      op_latency - config_.op_overhead_ns;
+  // the stage profile's kCache bucket.
+  const TimeNs access_ns = op_latency - config_.op_overhead_ns;
 
   if (batch_policy) {
     // One virtual dispatch for the whole op; events carry the same
     // (unit, touch, now) triples the per-access path would have seen.
-    [[maybe_unused]] uint64_t t = 0;
-    if constexpr (kProfiled) t = StageProfiler::NowNs();
     policy_->OnAccessBatch(access_events_);
     access_events_.clear();
     FlushMetadataTraffic();
-    if constexpr (kProfiled) policy_wall += StageProfiler::NowNs() - t;
   }
 
-  {
-    // Drain the PEBS buffer to the policy (the tiering thread's loop).
-    [[maybe_unused]] uint64_t t = 0;
-    if constexpr (kProfiled) t = StageProfiler::NowNs();
-    sample_buffer_.clear();
-    if (budgeted_sampler_ != nullptr) {
-      budgeted_sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
-    } else {
-      sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
-    }
-    if constexpr (kProfiled) {
-      const uint64_t drained = StageProfiler::NowNs();
-      sampler_wall += drained - t;
-      t = drained;
-    }
-    for (const SampleRecord& sample : sample_buffer_) {
-      policy_->OnSample(sample);
-    }
-    FlushMetadataTraffic();
-    if constexpr (kProfiled) policy_wall += StageProfiler::NowNs() - t;
+  // Drain the PEBS buffer to the policy (the tiering thread's loop).
+  sample_buffer_.clear();
+  if (budgeted_sampler_ != nullptr) {
+    budgeted_sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
+  } else {
+    sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
   }
-
-  [[maybe_unused]] uint64_t t_maint = 0;
-  if constexpr (kProfiled) t_maint = StageProfiler::NowNs();
+  for (const SampleRecord& sample : sample_buffer_) {
+    policy_->OnSample(sample);
+  }
+  FlushMetadataTraffic();
 
   // Periodic policy maintenance. The fault runtime advances first so
   // the policy's tick sees the health state (and any evacuation moves)
@@ -872,12 +823,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     last_migration_pages_ = pages;
   }
 
-  [[maybe_unused]] uint64_t t_account = 0;
-  if constexpr (kProfiled) {
-    t_account = StageProfiler::NowNs();
-    stages_->Record(Stage::kMigration, t_account - t_maint);
-  }
-
   ++ops_;
   window_.Add(static_cast<double>(op_latency));
   reservoir_.Add(static_cast<double>(op_latency));
@@ -892,18 +837,11 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     attr_->CloseOp(attr_tenant, op_latency);
   }
 
-  if constexpr (kProfiled) {
-    stages_->Record(Stage::kCache, cache_wall);
-    stages_->Record(Stage::kPolicy, policy_wall);
-    stages_->Record(Stage::kSampler, sampler_wall);
-    stages_->Record(Stage::kAccounting, StageProfiler::NowNs() - t_account);
-  }
-  if (profile_virtual_op_) [[unlikely]] {
-    // Virtual-time stage sample: every bucket is a simulated quantity
-    // this function already computed, so the profile is a pure function
-    // of the event stream (zero clock reads, byte-identical across
-    // engines and --jobs). kPolicy/kSampler have no simulated cost —
-    // their time is modeled as metadata cache pollution, not latency.
+  if (stages_ != nullptr) [[unlikely]] {
+    // Every bucket is a simulated quantity this function already
+    // computed, so the profile is a pure function of the event stream.
+    // Policy and sampler work has no simulated cost of its own: it is
+    // modeled as metadata cache pollution, not latency.
     stages_->Record(Stage::kGeneration, op.think_time_ns);
     stages_->Record(Stage::kCache, access_ns);
     stages_->Record(Stage::kMigration, stall_charged);
@@ -943,21 +881,7 @@ SimulationResult Simulation::Run() {
     if (config_.max_ops != 0 && ops_ >= config_.max_ops) break;
     if (config_.max_time_ns != 0 && now_ >= config_.max_time_ns) break;
 
-    // Sampled stage profiling: decide before generation so NextOp
-    // (live draw or trace replay) is attributed too. A null profiler
-    // costs a single predictable branch per op. In virtual-time mode
-    // the clock is never read — generation is attributed the op's
-    // think time inside RunOpImpl instead.
-    const bool profile_op = stages_ != nullptr && stages_->BeginOp();
-    const bool wall_profile = profile_op && !stages_->virtual_time();
-    const uint64_t op_start =
-        wall_profile ? StageProfiler::NowNs() : 0;
-
     if (!workload_->NextOp(now_, &op)) break;
-    if (wall_profile) {
-      stages_->Record(Stage::kGeneration,
-                      StageProfiler::NowNs() - op_start);
-    }
 
     if (op.accesses.empty()) {
       // Pure idle gap (no tenant runnable before the next arrival):
@@ -1022,21 +946,7 @@ SimulationResult Simulation::Run() {
             ? nullptr
             : &tenant_states_[tenant_source_->last_tenant()];
 
-    if (profile_op) [[unlikely]] {
-      if (wall_profile) {
-        RunOpImpl<true>(op, tenant);
-        stages_->RecordOp(StageProfiler::NowNs() - op_start,
-                          op.accesses.size());
-      } else {
-        // Virtual-time sample: the unprofiled instantiation (no clock
-        // reads) with the simulated-bucket recording switched on.
-        profile_virtual_op_ = true;
-        RunOpImpl<false>(op, tenant);
-        profile_virtual_op_ = false;
-      }
-    } else {
-      RunOpImpl<false>(op, tenant);
-    }
+    RunOp(op, tenant);
 
     while (now_ >= next_stats_) {
       RecordTimelinePoint(next_stats_);

@@ -96,9 +96,8 @@ struct SimulationConfig {
   /**
    * Slow-tier device topology spec (see mem/topology.h), e.g.
    * "cxl:(1,(2,3)),lat=124:180:180,bw=34:17:17,link=20". Empty (the
-   * default) keeps the historical single-endpoint model on the exact
-   * legacy construction path — bit-identical results, gated by the
-   * golden determinism tests.
+   * default) is `DefaultTopology()`: one endpoint with the paper-default
+   * slow tier.
    */
   std::string topology;
   /**
@@ -123,16 +122,6 @@ struct SimulationConfig {
   FaultRuntimeConfig fault_runtime;
   bool measure_metadata_traffic = true; //!< Replay metadata lines in LLC.
   /**
-   * Batched access execution (default): policies that declare no
-   * per-access interest are skipped in the hot loop, and batch-capable
-   * policies receive one OnAccessBatch call per op instead of a virtual
-   * OnAccess per access. `false` forces the legacy per-access dispatch
-   * for every policy. The two paths produce bit-identical results —
-   * batching only changes dispatch, never what a policy observes — and
-   * the determinism suite gates on that equivalence.
-   */
-  bool batch_execution = true;
-  /**
    * Touch the whole address space once (in address order) before the
    * access stream starts, modeling application initialization: real
    * workloads allocate and populate their heaps (cache slabs, graph
@@ -144,11 +133,8 @@ struct SimulationConfig {
   /**
    * Optional telemetry sinks (metrics registry, trace emitter, stage
    * profiler, latency attribution, decision audit), all non-owning and
-   * null by default. Metric and trace content is keyed to virtual time
-   * and stays bit-identical across dispatch engines and sweep `--jobs`
-   * values; the stage profiler is the one wall-clock exception (bench
-   * reporting only) unless constructed in virtual-time mode, which
-   * rejoins the deterministic set.
+   * null by default. Their content is keyed to virtual time and stays
+   * bit-identical across reruns and sweep `--jobs` values.
    */
   Telemetry telemetry;
 };
@@ -379,16 +365,8 @@ class Simulation {
    * probes, timing, sampling) as a tight inlined loop, policy dispatch
    * per `access_interest_`, the sample drain, due maintenance ticks,
    * migration-stall charging, and the op's latency accounting.
-   *
-   * Instantiated on a compile-time profiling flag so the common
-   * (unprofiled) instantiation contains no wall-clock reads at all;
-   * the profiled one runs only for the stage profiler's sampled ops.
-   * Virtual-time stage profiling reuses the unprofiled instantiation:
-   * the buckets are filled from already-computed simulated quantities
-   * behind one predictable branch per op (see profile_virtual_op_).
    */
-  template <bool kProfiled>
-  void RunOpImpl(const OpTrace& op, TenantState* tenant);
+  void RunOp(const OpTrace& op, TenantState* tenant);
 
   /** Registers metric probes and trace tracks from config_.telemetry. */
   void SetupTelemetry();
@@ -437,8 +415,7 @@ class Simulation {
   SimulationResult result_;
   WindowedPercentile window_;
   ReservoirSampler reservoir_;
-  /** Effective dispatch mode (policy interest, or kInline when
-   *  batch_execution is off). */
+  /** The policy's declared dispatch mode, resolved once. */
   AccessInterest access_interest_ = AccessInterest::kInline;
   std::vector<TouchEvent> access_events_;   //!< Per-op batch buffer.
   std::vector<SampleRecord> sample_buffer_; //!< Per-op drain buffer.
@@ -472,11 +449,6 @@ class Simulation {
   StageProfiler* stages_ = nullptr;
   LatencyAttribution* attr_ = nullptr;
   DecisionAudit* audit_ = nullptr;
-  /** True while the current op is a virtual-time profiling sample:
-   *  RunOpImpl fills the stage buckets from simulated quantities it has
-   *  already computed (think time, access latencies, TLB stalls, op
-   *  overhead) instead of wall-clock reads. */
-  bool profile_virtual_op_ = false;
   HistogramMetric* op_latency_hist_ = nullptr;  //!< Owned by metrics_.
   /** Per-endpoint slow-fill queue-delay histograms (owned by metrics_;
    *  empty when telemetry is off — one emptiness check per slow fill). */

@@ -10,10 +10,6 @@ const char* StageName(Stage stage) {
       return "generation";
     case Stage::kCache:
       return "cache";
-    case Stage::kPolicy:
-      return "policy";
-    case Stage::kSampler:
-      return "sampler";
     case Stage::kMigration:
       return "migration";
     case Stage::kAccounting:
@@ -24,22 +20,12 @@ const char* StageName(Stage stage) {
   return "?";
 }
 
-void StageProfiler::Merge(const StageProfiler& other) {
-  for (size_t i = 0; i < static_cast<size_t>(Stage::kCount); ++i) {
-    stages_[i].wall_ns += other.stages_[i].wall_ns;
-    stages_[i].events += other.stages_[i].events;
-  }
-  op_wall_ns_ += other.op_wall_ns_;
-  op_accesses_ += other.op_accesses_;
-  ops_ += other.ops_;
-}
-
 uint64_t StageProfiler::OtherNs() const {
   uint64_t attributed = 0;
   for (size_t i = 0; i < static_cast<size_t>(Stage::kCount); ++i) {
-    attributed += stages_[i].wall_ns;
+    attributed += stages_[i].ns;
   }
-  return op_wall_ns_ > attributed ? op_wall_ns_ - attributed : 0;
+  return op_ns_ > attributed ? op_ns_ - attributed : 0;
 }
 
 std::string StageProfiler::Report() const {
@@ -47,7 +33,7 @@ std::string StageProfiler::Report() const {
   char line[160];
   if (op_accesses_ == 0) return "  (no sampled ops)\n";
   const double per_access =
-      static_cast<double>(op_wall_ns_) / static_cast<double>(op_accesses_);
+      static_cast<double>(op_ns_) / static_cast<double>(op_accesses_);
   std::snprintf(line, sizeof(line),
                 "  sampled ops %llu, accesses %llu, %.1f ns/access total\n",
                 static_cast<unsigned long long>(ops_),

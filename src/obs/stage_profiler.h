@@ -3,138 +3,88 @@
 
 /**
  * @file
- * Sampled wall-clock attribution of the simulation engine's stages.
+ * Deterministic attribution of each op's simulated time to engine
+ * stages.
  *
- * The ROADMAP's "raw speed, round two" analysis names a ~49 ns/access
- * floor and attributes it (cache traffic ~25 ns, policy ~6 ns,
- * loop+replay ~10 ns, Zipf draw ~30 ns live) — but those numbers were
- * prose, measured once by hand. `StageProfiler` makes the breakdown a
- * measured artifact: the engine times one op in every `sample_every`
- * (default 64) with per-stage `clock_gettime(CLOCK_MONOTONIC)` reads
- * and records where the wall time went.
+ * For every op the engine fills per-stage buckets with *simulated*
+ * nanoseconds it has already computed: think time -> generation, the
+ * op's access latencies -> cache, TLB stalls -> migration, op overhead
+ * -> accounting. The profiler never reads a clock, so every bucket is a
+ * pure function of the simulated event stream: profiled runs are
+ * byte-identical across reruns and `--jobs` values, and with no idle
+ * gaps `op_ns()` equals the run's modeled duration exactly.
  *
- * Sampling keeps the observer effect bounded: an unsampled op runs the
- * exact unprofiled code path (the engine instantiates its op loop as a
- * template on a compile-time `kProfiled` flag, so the common
- * instantiation contains no timing code at all), and a null profiler
- * pointer disables even the sampling countdown.
- *
- * Unlike everything else in `src/obs/`, stage times are *wall-clock*
- * measurements by default — they vary run to run and are reported as
- * such (a bench table, never part of the determinism-gated outputs).
- *
- * **Virtual-time mode** (`StageProfiler(sample_every, true)`) removes
- * that exemption: the engine fills the same per-stage buckets with
- * *simulated* nanoseconds (think time -> generation, access latencies
- * -> cache, TLB stalls -> migration, op overhead -> accounting) and
- * never reads the clock. Every bucket is then a pure function of the
- * simulated event stream, so profiled runs are bit-identical across
- * `--jobs` values and engines and can join the byte-diff gates. With
- * `sample_every == 1` and no idle gaps, `sampled_op_wall_ns()` equals
- * the run's modeled duration exactly.
+ * Host (wall-clock) cost per layer is measured from outside the engine
+ * by the benchmark's tracer; see perfbench/NOTES.md.
  */
 
 #include <cstdint>
-#include <ctime>
 #include <string>
 
 namespace hybridtier {
 
 /** Engine stages attributed by the profiler. */
 enum class Stage : uint8_t {
-  kGeneration = 0,  //!< Workload NextOp (generation or trace replay).
-  kCache,           //!< Cache-hierarchy probes + perf-model latency.
-  kPolicy,          //!< Policy dispatch (inline, batch, and OnSample).
-  kSampler,         //!< Sampler OnAccess + drain.
-  kMigration,       //!< Migration-stall accounting + tick maintenance.
-  kAccounting,      //!< Latency windows, reservoir, tenant bookkeeping.
+  kGeneration = 0,  //!< Op think time.
+  kCache,           //!< Access latencies (cache + memory service).
+  kMigration,       //!< Migration (TLB-shootdown) stalls charged.
+  kAccounting,      //!< Fixed per-op software overhead.
   kCount,
 };
 
 /** Human-readable stage name ("generation", "cache", ...). */
 const char* StageName(Stage stage);
 
-/** Accumulates sampled per-stage wall time for one simulation. */
+/** Accumulates per-stage simulated time for one simulation. */
 class StageProfiler {
  public:
-  /** One stage's accumulated sample totals. */
+  /** One stage's accumulated totals. */
   struct StageTotals {
-    uint64_t wall_ns = 0;  //!< Wall time across sampled ops.
-    uint64_t events = 0;   //!< Sampled ops that touched this stage.
+    uint64_t ns = 0;      //!< Simulated ns across ops.
+    uint64_t events = 0;  //!< Ops that recorded this stage.
   };
 
-  explicit StageProfiler(uint32_t sample_every = 64,
-                         bool virtual_time = false)
-      : sample_every_(sample_every == 0 ? 1 : sample_every),
-        countdown_(1),  // Profile the first op, then every Nth.
-        virtual_time_(virtual_time) {}
-
-  /** True when buckets hold simulated ns (deterministic), not wall
-   *  clock. The engine checks this to pick its recording path. */
-  bool virtual_time() const { return virtual_time_; }
-
-  /** Monotonic wall-clock read (ns). */
-  static uint64_t NowNs() {
-    timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<uint64_t>(ts.tv_nsec);
-  }
-
-  /** Returns true when the op starting now should be profiled. */
-  bool BeginOp() {
-    if (--countdown_ > 0) return false;
-    countdown_ = sample_every_;
-    return true;
-  }
-
-  /** Adds one sampled measurement of `stage`. */
-  void Record(Stage stage, uint64_t wall_ns) {
+  /** Adds one measurement of `stage`. */
+  void Record(Stage stage, uint64_t ns) {
     StageTotals& totals = stages_[static_cast<size_t>(stage)];
-    totals.wall_ns += wall_ns;
+    totals.ns += ns;
     ++totals.events;
   }
 
-  /** Closes one sampled op: its total wall time and access count. */
-  void RecordOp(uint64_t wall_ns, uint64_t accesses) {
-    op_wall_ns_ += wall_ns;
+  /** Closes one op: its total simulated time and access count. */
+  void RecordOp(uint64_t ns, uint64_t accesses) {
+    op_ns_ += ns;
     op_accesses_ += accesses;
     ++ops_;
   }
-
-  /** Folds `other`'s samples into this profiler (cross-rep/cell). */
-  void Merge(const StageProfiler& other);
 
   const StageTotals& totals(Stage stage) const {
     return stages_[static_cast<size_t>(stage)];
   }
 
-  uint64_t sampled_ops() const { return ops_; }
-  uint64_t sampled_accesses() const { return op_accesses_; }
-  uint64_t sampled_op_wall_ns() const { return op_wall_ns_; }
+  uint64_t ops() const { return ops_; }
+  uint64_t accesses() const { return op_accesses_; }
+  uint64_t op_ns() const { return op_ns_; }
 
-  /** Mean ns per sampled access spent in `stage`. */
+  /** Mean ns per access spent in `stage`. */
   double NsPerAccess(Stage stage) const {
     return op_accesses_ == 0
                ? 0.0
-               : static_cast<double>(totals(stage).wall_ns) /
+               : static_cast<double>(totals(stage).ns) /
                      static_cast<double>(op_accesses_);
   }
 
-  /** Op wall time not attributed to any stage (loop overhead). */
+  /** Op time not attributed to any stage. */
   uint64_t OtherNs() const;
 
-  /** Multi-line per-stage table (ns/access), for bench output. */
+  /** Multi-line per-stage table (ns/access). */
   std::string Report() const;
 
  private:
   StageTotals stages_[static_cast<size_t>(Stage::kCount)];
-  uint64_t op_wall_ns_ = 0;
+  uint64_t op_ns_ = 0;
   uint64_t op_accesses_ = 0;
   uint64_t ops_ = 0;
-  uint32_t sample_every_;
-  uint32_t countdown_;
-  bool virtual_time_ = false;
 };
 
 }  // namespace hybridtier

@@ -17,9 +17,9 @@
  *  - **Deterministic**: timestamps are virtual nanoseconds, event
  *    order is emission order, and serialization is plain snprintf —
  *    so a run's trace bytes are a pure function of the simulated
- *    events. The determinism suite gates trace bytes across engines
- *    (batched vs legacy dispatch, live vs replay) and `--jobs` values
- *    the same way it gates results. (`SweepRunner`'s sweep-level
+ *    events. The determinism suite gates trace bytes across reruns,
+ *    live vs replay, and `--jobs` values the same way it gates
+ *    results. (`SweepRunner`'s sweep-level
  *    traces are the deliberate exception: they record *wall-clock*
  *    spans and are documented as measurements.)
  *

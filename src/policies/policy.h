@@ -30,7 +30,7 @@
  *  - kInline: the policy mutates placement inside OnAccess (TPP and
  *    AutoNUMA promote at fault time), so later accesses of the same op
  *    must observe the migration; the simulator calls OnAccess per
- *    access, exactly like the legacy path.
+ *    access.
  */
 
 #include <cstdint>
@@ -147,7 +147,7 @@ class TieringPolicy {
    * at a different interleaving than per-access dispatch and break the
    * bit-identity guarantee). Policies that do any of those inside
    * OnAccess must return kInline — the default, so unknown subclasses
-   * keep exact legacy per-access semantics.
+   * keep exact per-access semantics.
    */
   virtual AccessInterest access_interest() const {
     return AccessInterest::kInline;

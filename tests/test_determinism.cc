@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "core/policy_factory.h"
@@ -157,10 +158,9 @@ TEST(Determinism, ChurnTimelinesAreBitIdentical) {
 }
 
 // ----------------------------------------------------------------------
-// Hot-path refactor gates: the batched execution engine must be
-// observably indistinguishable from the legacy per-access path, and
-// both must still reproduce the stats the pre-refactor simulator
-// produced.
+// Hot-path refactor gates: trace replay must be observably
+// indistinguishable from live generation, and the engine must still
+// reproduce the stats the pre-refactor simulator produced.
 
 void ExpectFullyIdentical(const SimulationResult& a,
                           const SimulationResult& b) {
@@ -177,57 +177,6 @@ void ExpectFullyIdentical(const SimulationResult& a,
   ExpectIdenticalTimelines(a.tiering_llc_share_timeline,
                            b.tiering_llc_share_timeline);
   ExpectIdenticalTimelines(a.fast_used_timeline, b.fast_used_timeline);
-}
-
-/** One cell under either dispatch engine. */
-SimulationResult RunEngineCell(const std::string& workload_id,
-                               const std::string& policy_name,
-                               bool batch_execution) {
-  auto workload =
-      MakeWorkload(workload_id, workload_id == "zipf" ? 0.25 : 1.0, 17);
-  auto policy = MakePolicy(policy_name);
-  SimulationConfig config;
-  config.max_accesses = 300000;
-  config.seed = 17;
-  config.batch_execution = batch_execution;
-  return RunSimulation(config, workload.get(), policy.get());
-}
-
-TEST(Determinism, BatchedAndLegacyDispatchAreBitIdentical) {
-  for (const char* workload : {"zipf", "bfs-k"}) {
-    for (const char* policy :
-         {"HybridTier", "Memtis", "TPP", "AutoNUMA", "ARC", "FirstTouch"}) {
-      SCOPED_TRACE(std::string(workload) + "/" + policy);
-      const SimulationResult batched =
-          RunEngineCell(workload, policy, /*batch_execution=*/true);
-      const SimulationResult legacy =
-          RunEngineCell(workload, policy, /*batch_execution=*/false);
-      ExpectFullyIdentical(batched, legacy);
-    }
-  }
-}
-
-TEST(Determinism, BatchedAndLegacyDispatchMatchForFairShare) {
-  const auto run = [](bool batch_execution) {
-    std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2,silo");
-    for (TenantSpec& spec : specs) spec.scale = 0.05;
-    auto mux = MakeMuxWorkload(specs, 11);
-    auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
-                                                  mux->directory());
-    SimulationConfig config = TestConfig();
-    config.max_accesses = 300000;
-    config.batch_execution = batch_execution;
-    return RunSimulation(config, mux.get(), fair.get());
-  };
-  const SimulationResult batched = run(true);
-  const SimulationResult legacy = run(false);
-  ExpectFullyIdentical(batched, legacy);
-  ASSERT_EQ(batched.tenants.size(), legacy.tenants.size());
-  for (size_t t = 0; t < batched.tenants.size(); ++t) {
-    EXPECT_EQ(batched.tenants[t].fast_resident_units,
-              legacy.tenants[t].fast_resident_units);
-    EXPECT_EQ(batched.tenants[t].ops, legacy.tenants[t].ops);
-  }
 }
 
 TEST(Determinism, TraceReplayMatchesLiveGeneration) {
@@ -261,6 +210,9 @@ TEST(Determinism, TraceReplayMatchesLiveGeneration) {
 // one bit-for-bit — the hot-path overhaul is a pure implementation
 // change. If a *deliberate* semantic change ever lands, recapture these
 // with the previous release.
+// The trailing ARC and FirstTouch rows were captured later, from the
+// last engine that still ran batched and per-access dispatch side by
+// side and gated them bit-identical on exactly these cells.
 struct GoldenCell {
   const char* workload;
   const char* policy;
@@ -307,6 +259,17 @@ constexpr GoldenCell kPreRefactorGoldens[] = {
     {"pr-k", "AutoNUMA", 32783ull, 400001ull, 44182212ull, 29508ull,
      228795ull, 5496ull, 318ull, 355ull, 6564ull, 322427ull, 258303ull,
      13159ull, 12183ull},
+    {"zipf", "ARC", 100000ull, 400000ull, 47573802ull, 35824ull,
+     263376ull, 0ull, 0ull, 0ull, 6564ull, 382878ull, 299200ull,
+     8984ull, 8975ull},
+    {"zipf", "FirstTouch", 100000ull, 400000ull, 42444834ull, 35754ull,
+     262517ull, 0ull, 0ull, 0ull, 6564ull, 382878ull, 298271ull, 0ull,
+     0ull},
+    {"bfs-k", "ARC", 2359ull, 400080ull, 31602269ull, 341ull, 232985ull,
+     0ull, 1ull, 1ull, 6565ull, 313531ull, 233326ull, 9503ull, 9412ull},
+    {"bfs-k", "FirstTouch", 2359ull, 400080ull, 29866217ull, 299ull,
+     230852ull, 0ull, 0ull, 0ull, 6565ull, 313531ull, 231151ull, 0ull,
+     0ull},
 };
 
 TEST(Determinism, RefactoredEngineReproducesPreRefactorGoldens) {
@@ -334,6 +297,45 @@ TEST(Determinism, RefactoredEngineReproducesPreRefactorGoldens) {
     EXPECT_EQ(r.llc_app_misses, golden.llc_app);
     EXPECT_EQ(r.l1_tiering_misses, golden.l1_tier);
     EXPECT_EQ(r.llc_tiering_misses, golden.llc_tier);
+  }
+}
+
+// Multi-tenant golden: FairShare(HybridTier) over three tenants, the
+// per-access quota hook path. Captured alongside the ARC/FirstTouch
+// rows above, from the same dual-dispatch engine.
+TEST(Determinism, FairShareReproducesGolden) {
+  std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2,silo");
+  for (TenantSpec& spec : specs) spec.scale = 0.05;
+  auto mux = MakeMuxWorkload(specs, 11);
+  auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
+                                                mux->directory());
+  SimulationConfig config = TestConfig();
+  config.max_accesses = 300000;
+  const SimulationResult r = RunSimulation(config, mux.get(), fair.get());
+  EXPECT_EQ(r.ops, 55511u);
+  EXPECT_EQ(r.accesses, 300001u);
+  EXPECT_EQ(r.duration_ns, 24897633u);
+  EXPECT_EQ(r.fast_mem_accesses, 51337u);
+  EXPECT_EQ(r.slow_mem_accesses, 130521u);
+  EXPECT_EQ(r.hint_faults, 0u);
+  EXPECT_EQ(r.migration.promoted_pages, 496u);
+  EXPECT_EQ(r.migration.demoted_pages, 1360u);
+  EXPECT_EQ(r.samples_taken, 4913u);
+  EXPECT_EQ(r.l1_app_misses, 256664u);
+  EXPECT_EQ(r.llc_app_misses, 181858u);
+  EXPECT_EQ(r.l1_tiering_misses, 5769u);
+  EXPECT_EQ(r.llc_tiering_misses, 5389u);
+  struct TenantGolden {
+    uint64_t ops, fast_resident_units;
+  };
+  constexpr TenantGolden kTenants[] = {
+      {18504u, 1360u}, {18504u, 2720u}, {18503u, 496u}};
+  ASSERT_EQ(r.tenants.size(), std::size(kTenants));
+  for (size_t t = 0; t < r.tenants.size(); ++t) {
+    SCOPED_TRACE(r.tenants[t].name);
+    EXPECT_EQ(r.tenants[t].ops, kTenants[t].ops);
+    EXPECT_EQ(r.tenants[t].fast_resident_units,
+              kTenants[t].fast_resident_units);
   }
 }
 

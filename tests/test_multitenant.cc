@@ -403,10 +403,10 @@ TenantDirectory TwoTenantDirectoryWeighted(double weight_a,
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = weight_a, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = weight_b, .base_page = 1024,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   return directory;
 }
 
@@ -819,7 +819,7 @@ TenantDirectory RecurringDirectory(TimeNs depart, TimeNs rearrive) {
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = 1.0, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = 1.0, .base_page = 1024,
       .footprint_pages = 1024, .span_pages = 1024,
@@ -1002,7 +1002,7 @@ TenantDirectory ArrivalDirectory(TimeNs arrival_ns) {
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = 1.0, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = 1.0, .base_page = 1024,
       .footprint_pages = 1024, .span_pages = 1024,
