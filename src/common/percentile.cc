@@ -24,17 +24,38 @@ void WindowedPercentile::Add(double value) {
   ++count_;
 }
 
-double WindowedPercentile::Quantile(double q) const {
-  if (ring_.empty()) return 0.0;
+namespace {
+
+/** Nearest-rank index of quantile `q` in `n` sorted observations. */
+size_t NearestRank(double q, size_t n) {
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(ring_);
-  const size_t rank = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<ptrdiff_t>(rank),
-                   sorted.end());
-  return sorted[rank];
+  return std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
+}
+
+}  // namespace
+
+double WindowedPercentile::Quantile(double q) const {
+  std::vector<double> scratch;
+  return Quantiles(q, q, &scratch).first;
+}
+
+std::pair<double, double> WindowedPercentile::Quantiles(
+    double qa, double qb, std::vector<double>* scratch) const {
+  if (ring_.empty()) return {0.0, 0.0};
+  scratch->assign(ring_.begin(), ring_.end());
+  const size_t rank_a = NearestRank(qa, scratch->size());
+  const size_t rank_b = NearestRank(qb, scratch->size());
+  const size_t lo = std::min(rank_a, rank_b);
+  const size_t hi = std::max(rank_a, rank_b);
+  const auto first = scratch->begin();
+  std::nth_element(first, first + static_cast<ptrdiff_t>(lo), scratch->end());
+  if (hi > lo) {
+    // Everything after `lo` is now >= its value, so the hi-th order
+    // statistic is found by selecting within that tail alone.
+    std::nth_element(first + static_cast<ptrdiff_t>(lo + 1),
+                     first + static_cast<ptrdiff_t>(hi), scratch->end());
+  }
+  return {(*scratch)[rank_a], (*scratch)[rank_b]};
 }
 
 void WindowedPercentile::Reset() {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace hybridtier {
@@ -33,6 +34,15 @@ class WindowedPercentile {
 
   /** Convenience: the median of the current window. */
   double Median() const { return Quantile(0.5); }
+
+  /**
+   * The `qa`- and `qb`-quantiles of the current window, equal to
+   * {Quantile(qa), Quantile(qb)}, from a single copy into `scratch`.
+   * The caller owns `scratch` and reuses it across calls (and windows),
+   * so steady-state queries allocate nothing. {0, 0} when empty.
+   */
+  std::pair<double, double> Quantiles(double qa, double qb,
+                                      std::vector<double>* scratch) const;
 
   /** Number of observations currently in the window. */
   size_t size() const { return count_ < capacity_ ? count_ : capacity_; }

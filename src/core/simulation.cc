@@ -549,8 +549,11 @@ void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
   // A point inside an all-idle churn gap has no op latency; carrying
   // the last window median forward would plot an idle machine as still
   // running.
-  result_.latency_timeline.Add(at, idle ? 0.0 : window_.Median());
-  result_.p99_timeline.Add(at, idle ? 0.0 : window_.Quantile(0.99));
+  const auto [median, p99] =
+      idle ? std::pair<double, double>{0.0, 0.0}
+           : window_.Quantiles(0.5, 0.99, &quantile_scratch_);
+  result_.latency_timeline.Add(at, median);
+  result_.p99_timeline.Add(at, p99);
 
   const uint64_t l1_app = hierarchy_->L1Misses(AccessOwner::kApp);
   const uint64_t l1_tier = hierarchy_->L1Misses(AccessOwner::kTiering);
@@ -603,7 +606,10 @@ void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
       state.occupancy_timeline.Add(at, share);
       // An idle tenant serves no ops; carrying its last window median
       // forward would plot it as still running.
-      state.latency_timeline.Add(at, idle ? 0.0 : state.window.Median());
+      state.latency_timeline.Add(
+          at, idle ? 0.0
+                   : state.window.Quantiles(0.5, 0.5, &quantile_scratch_)
+                         .first);
       scratch_shares_.push_back(share);
       scratch_weights_.push_back(tenant_source_->tenant_weight(t));
     }

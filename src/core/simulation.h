@@ -432,6 +432,9 @@ class Simulation {
   std::vector<uint32_t> draining_;  //!< Departed, region not yet empty.
   std::vector<double> scratch_shares_;   //!< Per-interval, present-sized.
   std::vector<double> scratch_weights_;
+  /** Copy buffer for every latency window's timeline quantiles (global
+   *  and per tenant): one shared buffer, not one per window. */
+  std::vector<double> quantile_scratch_;
 
   // Migration-stall accounting (TLB shootdowns hit the app cores).
   uint64_t last_migration_batches_ = 0;

@@ -74,6 +74,23 @@ bool InvariantWatchdog::CheckMemoryAccounting(std::string* error) const {
       return false;
     }
   }
+  // Per-region tallies: the fair-share quota path reads occupancy from
+  // these counters directly, so a drift would silently skew quotas.
+  const std::vector<PageRange>& regions = memory_->regions();
+  for (uint32_t r = 0; r < regions.size(); ++r) {
+    for (const Tier tier : {Tier::kFast, Tier::kSlow}) {
+      uint64_t count = 0;
+      memory_->ScanResident(regions[r].begin, regions[r].size(), tier,
+                            [&count](PageId) { ++count; });
+      if (count != memory_->RegionResident(r, tier)) {
+        *error = detail::StrCat("region ", r, " ", TierName(tier),
+                                " tally diverges: ",
+                                memory_->RegionResident(r, tier),
+                                " vs recount ", count);
+        return false;
+      }
+    }
+  }
   return true;
 }
 

@@ -22,7 +22,8 @@
  *    `LatencyAttribution` is attached).
  * Components can register extra checks: `RegisterCheck` for ad-hoc
  * lambdas, or implement `InvariantSource` (the fair-share policy does,
- * validating quota/occupancy consistency) and register that.
+ * validating its quotas against the tier and the tenant spans) and
+ * register that.
  *
  * Pure observation: checks read state, never mutate it, so an enabled
  * watchdog cannot change results — only abort on corruption.

@@ -66,6 +66,8 @@ struct PageRange {
   uint64_t size() const { return end - begin; }
   /** True if the range contains `page`. */
   bool Contains(PageId page) const { return page >= begin && page < end; }
+
+  bool operator==(const PageRange&) const = default;
 };
 
 }  // namespace hybridtier

@@ -147,6 +147,8 @@ uint64_t TieredMemory::Release(PageRange range) {
 }
 
 void TieredMemory::DefineRegions(const std::vector<PageRange>& regions) {
+  if (has_regions() && regions == regions_) return;
+  regions_ = regions;
   region_of_.assign(flags_.size(), kNoRegion);
   for (size_t tier = 0; tier < kNumTiers; ++tier) {
     region_resident_[tier].assign(regions.size(), 0);

@@ -209,12 +209,16 @@ class TieredMemory {
    * so `RegionResident` reads are O(1) instead of an O(region) rescan —
    * the difference between an O(tenants) and an O(footprint) stats
    * interval. Pages outside every region stay unaccounted. Calling
-   * again replaces the layout.
+   * again with the installed layout is a no-op (the counters are
+   * already current); a different layout replaces it.
    */
   void DefineRegions(const std::vector<PageRange>& regions);
 
   /** True once DefineRegions has installed an accounting layout. */
-  bool has_regions() const { return !region_resident_[0].empty(); }
+  bool has_regions() const { return !regions_.empty(); }
+
+  /** The installed accounting layout (empty before DefineRegions). */
+  const std::vector<PageRange>& regions() const { return regions_; }
 
   /** Resident pages of `region` in `tier` (needs DefineRegions). */
   uint64_t RegionResident(uint32_t region, Tier tier) const;
@@ -266,6 +270,7 @@ class TieredMemory {
   std::vector<uint64_t> endpoint_fast_resident_;
 
   // Per-region residency accounting (empty until DefineRegions).
+  std::vector<PageRange> regions_;   //!< Installed layout.
   std::vector<uint32_t> region_of_;  //!< Region id per page, or kNoRegion.
   std::vector<uint64_t> region_resident_[kNumTiers];
 

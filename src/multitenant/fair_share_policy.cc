@@ -33,9 +33,9 @@ const char* QuotaModeName(QuotaMode mode) {
 
 /**
  * The migration gate handed to the base policy: promotions are filtered
- * by per-tenant quota headroom, demotions pass through with occupancy
- * tracking. All real work (and all stats) happens in the wrapped run's
- * engine; this object's own counters stay empty.
+ * by per-tenant quota headroom, demotions pass straight through. All
+ * real work (and all stats) happens in the wrapped run's engine; this
+ * object's own counters stay empty.
  */
 class FairSharePolicy::QuotaGate : public MigrationEngine {
  public:
@@ -51,7 +51,7 @@ class FairSharePolicy::QuotaGate : public MigrationEngine {
 
   TimeNs Demote(std::span<const PageId> pages, TimeNs now,
                 MigrationReason reason) override {
-    return owner_->TrackedDemote(pages, now, reason);
+    return inner_->Demote(pages, now, reason);
   }
 
   /** The audit lives on the real engine; the base policy reaches it
@@ -73,6 +73,7 @@ FairSharePolicy::FairSharePolicy(std::unique_ptr<TieringPolicy> base,
   HT_ASSERT(!directory_.regions.empty(),
             "fair-share wrapper needs at least one tenant");
   name_ = std::string("FairShare(") + base_->name() + ")";
+  directory_.BuildUnitIndex();
 }
 
 FairSharePolicy::~FairSharePolicy() = default;
@@ -89,10 +90,19 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
             "tenant directory covers units [", first.begin, ", ", last.end,
             ") but the run footprint is ", context.footprint_units);
 
+  // Occupancy comes from the memory's per-region counters, one region
+  // per tenant in directory order (a no-op when the simulation already
+  // registered this layout).
   const uint32_t n = directory_.size();
+  std::vector<PageRange> regions;
+  regions.reserve(n);
+  for (const TenantRegion& region : directory_.regions) {
+    regions.push_back(region.UnitRange(context.mode));
+  }
+  context.memory->DefineRegions(regions);
+
   quota_.assign(n, 0);
   static_quota_.assign(n, 0);
-  fast_units_.assign(n, 0);
   window_fast_samples_.assign(n, 0);
   window_slow_samples_.assign(n, 0);
   demand_ema_.assign(n, 0.0);
@@ -106,7 +116,6 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   shadow_samples_.assign(n, 0);
   marginal_utility_.assign(n, 0.0);
   grace_until_ns_.assign(n, 0);
-  occupancy_ready_ = false;
   endpoint_down_.assign(context.memory->endpoint_count(), 0);
   any_endpoint_down_ = false;
   // Endpoint awareness needs a timing model to read and more than one
@@ -194,17 +203,12 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   base_->Bind(gated);
 }
 
-bool FairSharePolicy::EnsureOccupancy() {
-  if (occupancy_ready_) return false;
-  for (uint32_t t = 0; t < directory_.size(); ++t) {
-    const PageRange range = directory_.regions[t].UnitRange(context().mode);
-    uint64_t count = 0;
-    memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                          [&count](PageId) { ++count; });
-    fast_units_[t] = count;
+uint64_t FairSharePolicy::LiveCharges(uint32_t tenant) const {
+  uint64_t live = 0;
+  for (const PageId page : pending_pages_[tenant]) {
+    if (!memory().IsResident(page)) ++live;
   }
-  occupancy_ready_ = true;
-  return true;
+  return live;
 }
 
 void FairSharePolicy::AddActive(uint32_t tenant) {
@@ -280,7 +284,6 @@ void FairSharePolicy::OnEndpointHealth(uint32_t endpoint,
   // shrink/grow with the stranded share, and a full re-division at the
   // transition instant replaces a thrashing sequence of enforcement
   // batches spread over the following rebalance window.
-  EnsureOccupancy();
   ComputeStaticQuotas();
   if (config_.rebalance) Rebalance(now);
   else quota_ = static_quota_;
@@ -292,11 +295,6 @@ void FairSharePolicy::OnEndpointHealth(uint32_t endpoint,
                       static_cast<double>(EffectiveFastCapacity())}});
   }
   base_->OnEndpointHealth(endpoint, state, now);
-}
-
-void FairSharePolicy::OnExternalMigration(TimeNs now) {
-  occupancy_ready_ = false;
-  base_->OnExternalMigration(now);
 }
 
 bool FairSharePolicy::CheckInvariants(std::string* error) const {
@@ -318,24 +316,6 @@ bool FairSharePolicy::CheckInvariants(std::string* error) const {
                             " units > fast capacity ",
                             context().fast_capacity_units);
     return false;
-  }
-  // The incremental occupancy mirror must match a fresh region recount
-  // whenever it claims to be in sync (external migrations invalidate
-  // it; the next EnsureOccupancy rescan re-seeds it).
-  if (occupancy_ready_) {
-    for (const uint32_t t : active_) {
-      const PageRange range =
-          directory_.regions[t].UnitRange(context().mode);
-      uint64_t count = 0;
-      memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                            [&count](PageId) { ++count; });
-      if (count != fast_units_[t]) {
-        *error = detail::StrCat("tenant ", t, " occupancy mirror ",
-                                fast_units_[t], " diverges from recount ",
-                                count);
-        return false;
-      }
-    }
   }
   return true;
 }
@@ -411,7 +391,7 @@ bool FairSharePolicy::AdvanceTenantWindows(uint32_t t, TimeNs now) {
     changed = true;
     if (trace_ != nullptr) {
       trace_->Instant(tenant_track_[t], "departure", now,
-                      {{"fast_units", static_cast<double>(fast_units_[t])}});
+                      {{"fast_units", static_cast<double>(fast_units(t))}});
     }
   }
   return changed;
@@ -451,7 +431,7 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
   // the slot's occupant survived the visit.
   for (size_t i = 0; i < draining_.size();) {
     const uint32_t t = draining_[i];
-    if (fast_units_[t] > 0) {
+    if (fast_units(t) > 0) {
       // Reclaim writeback, paced: demote up to release_batch fast
       // units per tick (0 = the legacy whole-share flush), in address
       // order — hotness ranking is pointless for a dead tenant's
@@ -475,15 +455,15 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
         }
       }
       drain_cursor_[t] = unit;
-      HT_ASSERT(!victims_.empty() || fast_units_[t] == 0 ||
+      HT_ASSERT(!victims_.empty() || fast_units(t) == 0 ||
                     unit < range.end,
                 "drain cursor passed tenant ", t, "'s region with ",
-                fast_units_[t], " fast units unaccounted");
+                fast_units(t), " fast units unaccounted");
       if (!victims_.empty()) {
-        TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
+        migration().Demote(victims_, now, MigrationReason::kChurnDrain);
       }
     }
-    if (fast_units_[t] == 0) {
+    if (fast_units(t) == 0) {
       FinishRelease(t, now);  // Removes t from draining_.
     } else {
       ++i;
@@ -502,14 +482,14 @@ void FairSharePolicy::ForceFinishDrain(uint32_t tenant, TimeNs now) {
                           victims_.push_back(unit);
                         });
   if (!victims_.empty()) {
-    TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
+    migration().Demote(victims_, now, MigrationReason::kChurnDrain);
   }
   FinishRelease(tenant, now);
 }
 
 void FairSharePolicy::FinishRelease(uint32_t tenant, TimeNs now) {
-  HT_ASSERT(fast_units_[tenant] == 0, "tenant ", tenant, " still holds ",
-            fast_units_[tenant], " fast units at release");
+  HT_ASSERT(fast_units(tenant) == 0, "tenant ", tenant, " still holds ",
+            fast_units(tenant), " fast units at release");
   // The region returns to the free pools, as exit reclaim would free a
   // dead process's memory; a later residency window re-allocates it
   // from scratch via first touches.
@@ -526,6 +506,8 @@ void FairSharePolicy::FinishRelease(uint32_t tenant, TimeNs now) {
   window_slow_samples_[tenant] = 0;
   demand_ema_[tenant] = 0.0;
   candidates_[tenant].clear();
+  // The release made every page of the region non-resident again, so a
+  // charge left in the set would count as live once more.
   pending_pages_[tenant].clear();
   marginal_utility_[tenant] = 0.0;
   grace_until_ns_[tenant] = 0;
@@ -572,7 +554,7 @@ void FairSharePolicy::RebalanceDensity(TimeNs now) {
   for (const uint32_t t : active_) {
     const double density =
         static_cast<double>(window_fast_samples_[t]) /
-        static_cast<double>(std::max<uint64_t>(1, fast_units_[t]));
+        static_cast<double>(std::max<uint64_t>(1, fast_units(t)));
     demand_ema_[t] = demand_ema_[t] * 0.5 + density;
     total_demand += demand_ema_[t];
     sink().Touch(kQuotaTableBase + (t / 2) * kCacheLineSize);
@@ -682,7 +664,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
     for (const uint32_t t : active_) {
       trace_->Instant(tenant_track_[t], "quota", now,
                       {{"quota_units", static_cast<double>(quota_[t])},
-                       {"fast_units", static_cast<double>(fast_units_[t])},
+                       {"fast_units", static_cast<double>(fast_units(t))},
                        {"marginal_utility", marginal_utility_[t]}});
     }
   }
@@ -713,16 +695,20 @@ uint64_t FairSharePolicy::FillLimit(uint32_t tenant) const {
 
 uint64_t FairSharePolicy::EndpointCostOf(PageId unit, TimeNs now) const {
   if (!endpoint_aware_active_) return 1;
-  const uint32_t endpoint = memory().EndpointOf(unit);
+  return EndpointCost(memory().EndpointOf(unit), now);
+}
+
+uint64_t FairSharePolicy::EndpointCost(uint32_t endpoint, TimeNs now) const {
   return static_cast<uint64_t>(context().perf->EndpointIdleLatency(endpoint)) +
          static_cast<uint64_t>(context().perf->EndpointBacklog(endpoint, now));
 }
 
 void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
                                      TimeNs now, MigrationReason reason) {
-  if (fast_units_[t] <= target) return;
+  const uint64_t before = fast_units(t);
+  if (before <= target) return;
   const uint64_t excess =
-      std::min(fast_units_[t] - target, config_.max_enforce_batch);
+      std::min(before - target, config_.max_enforce_batch);
 
   // Find the tenant's fast-resident units (the pagemap walk every
   // watermark demoter performs); the filler and the base policy bring
@@ -743,6 +729,14 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
     // address order would evict the hot pages whenever they sit at the
     // scanned end — the base policy promotes them right back, and the
     // swap repeats every enforcement pass (rotation churn).
+    if (endpoint_aware_active_) {
+      // The cost depends only on the home endpoint: read it once per
+      // endpoint for the whole pass.
+      endpoint_cost_.resize(memory().endpoint_count());
+      for (uint32_t e = 0; e < endpoint_cost_.size(); ++e) {
+        endpoint_cost_[e] = std::min<uint64_t>(EndpointCost(e, now), 0xffff);
+      }
+    }
     victim_rank_.clear();
     victim_rank_.reserve(victims_.size());
     for (const PageId unit : victims_) {
@@ -759,22 +753,24 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
       // hotness key.
       victim_rank_.emplace_back(
           endpoint_aware_active_
-              ? (hotness << 16) +
-                    std::min<uint64_t>(EndpointCostOf(unit, now), 0xffff)
+              ? (hotness << 16) + endpoint_cost_[memory().EndpointOf(unit)]
               : hotness,
           unit);
     }
     // Only the coldest `take` need ordering; the rest stay resident.
-    std::partial_sort(victim_rank_.begin(), victim_rank_.begin() + take,
-                      victim_rank_.end());
+    // Select them in O(n), then sort just those: (key, unit) pairs are
+    // unique, so this is exactly the order a partial sort would give.
+    const auto cut = victim_rank_.begin() + static_cast<ptrdiff_t>(take);
+    std::nth_element(victim_rank_.begin(), cut, victim_rank_.end());
+    std::sort(victim_rank_.begin(), cut);
     victims_.clear();
     for (uint64_t i = 0; i < take; ++i) {
       victims_.push_back(victim_rank_[i].second);
     }
   }
-  const uint64_t before = fast_units_[t];
-  TrackedDemote(std::span<const PageId>(victims_).first(take), now, reason);
-  enforced_demotions_[t] += before - fast_units_[t];
+  migration().Demote(std::span<const PageId>(victims_).first(take), now,
+                     reason);
+  enforced_demotions_[t] += before - fast_units(t);
 }
 
 void FairSharePolicy::EnforceQuotas(TimeNs now) {
@@ -790,9 +786,14 @@ void FairSharePolicy::EnforceQuotas(TimeNs now) {
 
 TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
                                      TimeNs now, MigrationReason reason) {
-  EnsureOccupancy();
+  // Expire the charges whose units have landed (first-touched) since
+  // the last batch, so the headroom checks below count live ones only.
+  for (std::unordered_set<PageId>& pending : pending_pages_) {
+    if (pending.empty()) continue;
+    std::erase_if(pending,
+                  [this](PageId page) { return memory().IsResident(page); });
+  }
   admitted_.clear();
-  batch_marks_.clear();
   batch_seen_.clear();
   std::fill(batch_admits_.begin(), batch_admits_.end(), 0);
 
@@ -829,14 +830,10 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     ordered = admit_pages_;
   }
 
-  // Per-page admission states within one batch.
-  constexpr uint8_t kWasSlow = 0;      //!< Slow-resident; engine moves it.
-  constexpr uint8_t kNonResident = 1;  //!< First touch will allocate it.
-
   uint64_t batch_gated = 0;
   for (const PageId page : ordered) {
     // Dedup within the batch: a repeated page would be a no-op for the
-    // engine but would double-count in the occupancy accounting below.
+    // engine but would be charged against headroom twice.
     if (!batch_seen_.insert(page).second) continue;
     // A page already fast-resident needs no promotion: drop it before
     // the headroom check, so a base policy re-promoting its (correctly
@@ -844,12 +841,12 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     const bool resident = memory().IsResident(page);
     if (resident && memory().TierOf(page) == Tier::kFast) continue;
     const uint32_t t = directory_.TenantOfUnit(page, context().mode);
+    std::unordered_set<PageId>& pending = pending_pages_[t];
     // A non-resident page already carrying a durable charge is staged:
     // re-admitting it would double-charge one future landing.
-    if (!resident && pending_pages_[t].count(page) > 0) continue;
+    if (!resident && pending.count(page) > 0) continue;
     sink().Touch(kQuotaTableBase + (t / 2) * kCacheLineSize);
-    if (fast_units_[t] + pending_pages_[t].size() + batch_admits_[t] >=
-        quota_[t]) {
+    if (fast_units(t) + pending.size() + batch_admits_[t] >= quota_[t]) {
       ++gated_promotions_[t];
       ++batch_gated;
       continue;
@@ -859,10 +856,18 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     // whose first touch lands in the fast tier right after admission
     // (tenant arrivals). Charging only the slow ones would let a mixed
     // batch reserve no headroom for the rest and push the tenant past
-    // quota.
+    // quota. The engine cannot move a page that does not exist yet, so
+    // a non-resident admission is charged durably: it holds headroom
+    // until its first touch, and a base policy re-promoting the same
+    // untouched region across batches cannot stage more landings than
+    // one batch of headroom. A slow admission is charged for this
+    // batch only; once moved, the region counter holds it.
     admitted_.push_back(page);
-    batch_marks_.push_back(resident ? kWasSlow : kNonResident);
-    ++batch_admits_[t];
+    if (resident) {
+      ++batch_admits_[t];
+    } else {
+      pending.insert(page);
+    }
   }
   if (batch_gated > 0) {
     if (DecisionAudit* audit = migration().audit()) {
@@ -871,51 +876,7 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
   }
   // An entirely gated batch issues no syscall at all.
   if (admitted_.empty()) return 0;
-
-  const TimeNs cost = migration().Promote(admitted_, now, reason);
-  for (size_t i = 0; i < admitted_.size(); ++i) {
-    const PageId page = admitted_[i];
-    const uint32_t t = directory_.TenantOfUnit(page, context().mode);
-    if (memory().IsResident(page)) {
-      if (memory().TierOf(page) == Tier::kFast &&
-          batch_marks_[i] == kWasSlow) {
-        ++fast_units_[t];
-      }
-    } else if (batch_marks_[i] == kNonResident) {
-      // The engine cannot move a page that does not exist yet; the
-      // admission still staged a future fast first-touch landing.
-      // Charge it durably — the page holds headroom until OnAccess
-      // sees its first touch — so a base policy re-promoting the same
-      // untouched region across batches cannot stage more landings
-      // than one batch of headroom.
-      pending_pages_[t].insert(page);
-    }
-  }
-  return cost;
-}
-
-TimeNs FairSharePolicy::TrackedDemote(std::span<const PageId> pages,
-                                      TimeNs now, MigrationReason reason) {
-  EnsureOccupancy();
-  batch_marks_.clear();  // Reused as "was fast" marks here.
-  batch_seen_.clear();
-  for (const PageId page : pages) {
-    // Only the first occurrence of a page can move it; later duplicates
-    // must not decrement the occupancy counter a second time.
-    const bool counted = memory().IsResident(page) &&
-                         memory().TierOf(page) == Tier::kFast &&
-                         batch_seen_.insert(page).second;
-    batch_marks_.push_back(counted ? 1 : 0);
-  }
-  const TimeNs cost = migration().Demote(pages, now, reason);
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (!batch_marks_[i]) continue;
-    const PageId page = pages[i];
-    if (memory().TierOf(page) == Tier::kSlow) {
-      --fast_units_[directory_.TenantOfUnit(page, context().mode)];
-    }
-  }
-  return cost;
+  return migration().Promote(admitted_, now, reason);
 }
 
 void FairSharePolicy::FillQuotas(TimeNs now) {
@@ -932,8 +893,8 @@ void FairSharePolicy::FillQuotas(TimeNs now) {
     // to the base policy, whose frequency threshold picks better pages
     // than a one-window sample count.
     const uint64_t fill_limit = FillLimit(t);
-    const uint64_t headroom =
-        fast_units_[t] < fill_limit ? fill_limit - fast_units_[t] : 0;
+    const uint64_t fast = fast_units(t);
+    const uint64_t headroom = fast < fill_limit ? fill_limit - fast : 0;
     if (headroom == 0) {
       // At or over the fill limit: candidates are unusable, drop them.
       candidates.clear();
@@ -981,30 +942,14 @@ void FairSharePolicy::FillQuotas(TimeNs now) {
     victims_.clear();  // Reused as the promotion batch here.
     for (uint64_t i = 0; i < take; ++i) victims_.push_back(ranked[i].second);
 
-    const uint64_t before = fast_units_[t];
     GatedPromote(victims_, now, MigrationReason::kQuotaFill);
-    fill_promotions_[t] += fast_units_[t] - before;
-    free_fast -= std::min(free_fast, fast_units_[t] - before);
+    const uint64_t promoted = fast_units(t) - fast;
+    fill_promotions_[t] += promoted;
+    free_fast -= std::min(free_fast, promoted);
   }
-}
-
-void FairSharePolicy::OnAccess(PageId unit, const TouchResult& touch,
-                               TimeNs now) {
-  const bool fresh = EnsureOccupancy();
-  if (touch.first_touch) {
-    const uint32_t t = directory_.TenantOfUnit(unit, context().mode);
-    if (!fresh && touch.tier == Tier::kFast) ++fast_units_[t];
-    // If this unit carried a durable gate charge, the landing it
-    // reserved headroom for has happened (or, when the touch landed
-    // slow, will never consume fast headroom): release it. First
-    // touches of uncharged units leave the staged charges alone.
-    if (!pending_pages_[t].empty()) pending_pages_[t].erase(unit);
-  }
-  base_->OnAccess(unit, touch, now);
 }
 
 void FairSharePolicy::OnSample(const SampleRecord& sample) {
-  EnsureOccupancy();
   const uint32_t t = directory_.TenantOfUnit(sample.page, context().mode);
   if (sample.tier == Tier::kFast) {
     ++window_fast_samples_[t];
@@ -1040,7 +985,6 @@ void FairSharePolicy::OnSample(const SampleRecord& sample) {
 }
 
 void FairSharePolicy::Tick(TimeNs now) {
-  EnsureOccupancy();
   ApplyChurn(now);
   DrainDeparting(now);
   if (config_.rebalance) {
@@ -1070,8 +1014,8 @@ size_t FairSharePolicy::MetadataBytes() const {
   size_t ghost_bytes = 0;
   for (const GhostMrc& ghost : ghost_) ghost_bytes += ghost.memory_bytes();
   size_t pending_bytes = 0;
-  for (const auto& pending : pending_pages_) {
-    pending_bytes += pending.size() * sizeof(PageId);
+  for (uint32_t t = 0; t < pending_pages_.size(); ++t) {
+    pending_bytes += LiveCharges(t) * sizeof(PageId);
   }
   return base_->MetadataBytes() +
          directory_.regions.size() * (10 + config_.candidate_buffer) * 8 +
@@ -1084,7 +1028,7 @@ bool FairSharePolicy::GetTenantQuotaStats(uint32_t tenant,
   out->quota_units = quota_[tenant];
   out->shadow_samples = shadow_samples_[tenant];
   out->marginal_utility = marginal_utility_[tenant];
-  out->pending_first_touch = pending_pages_[tenant].size();
+  out->pending_first_touch = LiveCharges(tenant);
   return true;
 }
 

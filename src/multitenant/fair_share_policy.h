@@ -14,6 +14,12 @@
  *    a gate (a `MigrationEngine` decorator) that drops promotions for
  *    tenants already at quota. Batching, syscall costs, and stats of
  *    surviving pages are unchanged.
+ *  - Occupancy is read, never mirrored: `Bind` registers the tenant
+ *    layout with `TieredMemory::DefineRegions`, whose per-region
+ *    counters every touch, migration and release keeps exact — also
+ *    the fault runtime's evacuations, so no rescan is ever needed. The
+ *    wrapper therefore has no per-access work of its own and inherits
+ *    the base policy's access interest.
  *  - A maintenance tick demotes pages of tenants that sit over quota
  *    (first-touch allocation and quota shrinks put them there), in
  *    address order from the top of the tenant's region — the base policy
@@ -186,7 +192,9 @@ class FairSharePolicy : public TieringPolicy,
   ~FairSharePolicy() override;
 
   void Bind(const PolicyContext& context) override;
-  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override;
+  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override {
+    base_->OnAccess(unit, touch, now);
+  }
   void OnSample(const SampleRecord& sample) override;
   void Tick(TimeNs now) override;
   size_t MetadataBytes() const override;
@@ -205,22 +213,18 @@ class FairSharePolicy : public TieringPolicy,
   void OnEndpointHealth(uint32_t endpoint, EndpointHealth state,
                         TimeNs now) override;
 
-  /** Fault evacuation/spill moved pages under us: the incremental
-   *  occupancy mirror is stale, so fall back to the lazy rescan. */
-  void OnExternalMigration(TimeNs now) override;
-
-  // InvariantSource: quota/occupancy consistency for the watchdog.
+  // InvariantSource: quota consistency for the watchdog (occupancy is
+  // the memory's region tallies, which the watchdog recounts itself).
   bool CheckInvariants(std::string* error) const override;
 
   /**
-   * Inline: OnAccess keeps gate charges and occupancy in sync with the
-   * memory state at the instant of each access (EnsureOccupancy rescans
-   * read live residency), and the wrapped policy may itself require
-   * inline delivery — deferring either to end of op would let the rescan
-   * observe later first-touches it then double-counts.
+   * The wrapped policy's: the wrapper itself observes nothing per
+   * access (occupancy comes from the region counters, gate charges
+   * expire lazily), so FairShare(HybridTier) skips dispatch entirely
+   * and FairShare(TPP) stays inline.
    */
   AccessInterest access_interest() const override {
-    return AccessInterest::kInline;
+    return base_->access_interest();
   }
 
   /** The wrapped policy's estimate (victim ordering sees through us). */
@@ -235,8 +239,11 @@ class FairSharePolicy : public TieringPolicy,
   /** Current fast-tier quota of `tenant`, in tracking units. */
   uint64_t quota_units(uint32_t tenant) const { return quota_[tenant]; }
 
-  /** Tracked fast-tier occupancy of `tenant`, in tracking units. */
-  uint64_t fast_units(uint32_t tenant) const { return fast_units_[tenant]; }
+  /** Fast-tier occupancy of `tenant`, in tracking units (read from
+   *  the bound memory's region counters). */
+  uint64_t fast_units(uint32_t tenant) const {
+    return memory().RegionResident(tenant, Tier::kFast);
+  }
 
   /** Promotions dropped at the gate because `tenant` was at quota. */
   uint64_t gated_promotions(uint32_t tenant) const {
@@ -260,7 +267,7 @@ class FairSharePolicy : public TieringPolicy,
 
   /** Gate charges for admitted-but-not-yet-touched units of `tenant`. */
   uint64_t pending_first_touch(uint32_t tenant) const {
-    return pending_pages_[tenant].size();
+    return LiveCharges(tenant);
   }
 
   /**
@@ -313,6 +320,11 @@ class FairSharePolicy : public TieringPolicy,
 
   /** The wrapped policy. */
   const TieringPolicy& base() const { return *base_; }
+
+ protected:
+  void OnAccessBatchImpl(std::span<const TouchEvent> events) override {
+    base_->OnAccessBatch(events);
+  }
 
  private:
   class QuotaGate;
@@ -382,12 +394,11 @@ class FairSharePolicy : public TieringPolicy,
   void FinishRelease(uint32_t tenant, TimeNs now);
 
   /**
-   * Counts fast-resident units per tenant once, lazily, at the first
-   * event after the run's prefault. Returns true when this call did the
-   * initialization (callers then skip incremental updates that the scan
-   * already covered).
+   * Gate charges of `tenant` still live: charged units not yet
+   * resident. A charge expires at its unit's first touch, so landed
+   * entries are simply skipped here (GatedPromote purges them).
    */
-  bool EnsureOccupancy();
+  uint64_t LiveCharges(uint32_t tenant) const;
 
   /** Weight-proportional quotas summing exactly to the fast capacity. */
   void ComputeStaticQuotas();
@@ -430,8 +441,12 @@ class FairSharePolicy : public TieringPolicy,
    */
   uint64_t EndpointCostOf(PageId unit, TimeNs now) const;
 
+  /** EndpointCostOf for every unit homed on `endpoint` (awareness on). */
+  uint64_t EndpointCost(uint32_t endpoint, TimeNs now) const;
+
   /** Demotes tenant `t` down to `target` fast units (one batch),
-   *  stamped with `reason` (enforcement vs. rotation). */
+   *  stamped with `reason` (enforcement vs. rotation). The coldest
+   *  units are selected in O(n), then only those are sorted. */
   void DemoteToTarget(uint32_t t, uint64_t target, TimeNs now,
                       MigrationReason reason);
 
@@ -446,17 +461,12 @@ class FairSharePolicy : public TieringPolicy,
   TimeNs GatedPromote(std::span<const PageId> pages, TimeNs now,
                       MigrationReason reason);
 
-  /** Gate path: demotion batch with occupancy tracking. */
-  TimeNs TrackedDemote(std::span<const PageId> pages, TimeNs now,
-                       MigrationReason reason);
-
   std::unique_ptr<TieringPolicy> base_;
   TenantDirectory directory_;
   FairShareConfig config_;
   std::string name_;
 
   std::unique_ptr<QuotaGate> gate_;
-  bool occupancy_ready_ = false;
   std::vector<uint8_t> endpoint_down_;  //!< Down mask (sized at Bind).
   bool any_endpoint_down_ = false;      //!< Fast path: no fault active.
   /** endpoint_aware resolved against the bound context (see
@@ -492,7 +502,6 @@ class FairSharePolicy : public TieringPolicy,
   // Per-tenant state, all indexed by tenant id.
   std::vector<uint64_t> quota_;         //!< Fast-tier quota, units.
   std::vector<uint64_t> static_quota_;  //!< Weight-proportional quota.
-  std::vector<uint64_t> fast_units_;    //!< Tracked fast occupancy.
   std::vector<uint64_t> window_fast_samples_;  //!< Fast-tier samples.
   std::vector<uint64_t> window_slow_samples_;  //!< Slow-tier samples.
   std::vector<double> demand_ema_;  //!< Halving-EMA of hit density.
@@ -504,11 +513,12 @@ class FairSharePolicy : public TieringPolicy,
   std::vector<size_t> window_index_;      //!< Current residency window.
   std::vector<PageId> drain_cursor_;      //!< Paced-drain scan resume.
   std::vector<std::vector<PageId>> candidates_;  //!< Sampled slow pages.
-  /** Durable gate charges: the admitted non-resident units whose first
-   *  touch has not happened yet. Tracking the units themselves (not a
-   *  bare counter) keeps the charge exact: only the charged unit's own
-   *  first touch releases it, and re-admitting a still-untouched unit
-   *  cannot double-charge. */
+  /** Durable gate charges: admitted non-resident units. A charge is
+   *  live while its unit is not resident; the unit's first touch ends
+   *  it, and GatedPromote purges landed entries before it reads the
+   *  set. Tracking the units themselves (not a bare counter) keeps the
+   *  charge exact: only the charged unit's own first touch releases it,
+   *  and re-admitting a still-untouched unit cannot double-charge. */
   std::vector<std::unordered_set<PageId>> pending_pages_;
   std::vector<GhostMrc> ghost_;  //!< Shadow MRC estimate (marginal mode).
   std::vector<uint64_t> shadow_samples_;   //!< Samples fed to ghost_.
@@ -525,20 +535,21 @@ class FairSharePolicy : public TieringPolicy,
 
   // Scratch (avoids per-batch allocation).
   std::vector<PageId> admitted_;
-  /** Per-page marks within one batch: "charged against headroom" in
-   *  GatedPromote, "was fast-resident" in TrackedDemote. */
-  std::vector<uint8_t> batch_marks_;
+  /** Slow-resident units admitted per tenant within one batch. */
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
   /** (score, unit) pairs for cheapest-first victim ordering: the score
    *  is the hotness estimate, with the home-endpoint cost packed into
    *  the low bits as a tie-breaker in endpoint-aware mode. */
   std::vector<std::pair<uint64_t, PageId>> victim_rank_;
+  /** Per-endpoint tie-break cost for one ranking pass (endpoint-aware
+   *  mode): EndpointCost is read once per endpoint, not once per unit. */
+  std::vector<uint64_t> endpoint_cost_;
   /** (cost, page) scratch for endpoint-aware admission ordering. */
   std::vector<std::pair<uint64_t, PageId>> admit_order_;
   /** Reordered promotion batch fed to the admission loop. */
   std::vector<PageId> admit_pages_;
-  std::unordered_set<PageId> batch_seen_;  //!< In-batch dedup.
+  std::unordered_set<PageId> batch_seen_;  //!< GatedPromote dedup.
 };
 
 }  // namespace hybridtier

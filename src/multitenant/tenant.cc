@@ -135,18 +135,32 @@ double TenantDirectory::TotalWeight() const {
   return total;
 }
 
+void TenantDirectory::BuildUnitIndex() {
+  for (const PageMode mode : {PageMode::kRegular, PageMode::kHuge}) {
+    UnitIndex& index = unit_index_[static_cast<size_t>(mode)];
+    index.begins.clear();
+    index.ends.clear();
+    for (const TenantRegion& region : regions) {
+      const PageRange range = region.UnitRange(mode);
+      index.begins.push_back(range.begin);
+      index.ends.push_back(range.end);
+    }
+  }
+}
+
 uint32_t TenantDirectory::TenantOfUnit(PageId unit, PageMode mode) const {
+  const UnitIndex& index = unit_index_[static_cast<size_t>(mode)];
+  HT_ASSERT(index.begins.size() == regions.size(),
+            "tenant directory unit index is stale: call BuildUnitIndex");
   // Regions are laid out contiguously in allocation order, so the owner
   // is the last region whose range begins at or before `unit`.
-  const auto it = std::upper_bound(
-      regions.begin(), regions.end(), unit,
-      [mode](PageId u, const TenantRegion& region) {
-        return u < region.UnitRange(mode).begin;
-      });
-  HT_ASSERT(it != regions.begin(), "unit ", unit, " precedes all tenants");
+  const auto it =
+      std::upper_bound(index.begins.begin(), index.begins.end(), unit);
+  HT_ASSERT(it != index.begins.begin(), "unit ", unit,
+            " precedes all tenants");
   const uint32_t tenant =
-      static_cast<uint32_t>(std::distance(regions.begin(), it)) - 1;
-  HT_ASSERT(regions[tenant].UnitRange(mode).Contains(unit), "unit ", unit,
+      static_cast<uint32_t>(std::distance(index.begins.begin(), it)) - 1;
+  HT_ASSERT(unit < index.ends[tenant], "unit ", unit,
             " beyond the last tenant region");
   return tenant;
 }

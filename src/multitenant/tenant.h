@@ -109,11 +109,28 @@ struct TenantDirectory {
   double TotalWeight() const;
 
   /**
+   * Builds the flat per-mode unit-range tables `TenantOfUnit` searches.
+   * Call once the layout is final and again after any edit to
+   * `regions` (MuxWorkload and FairSharePolicy call it on the
+   * directories they own).
+   */
+  void BuildUnitIndex();
+
+  /**
    * Tenant owning tracking unit `unit` under `mode`; fatal if the unit
    * belongs to no region (the layout covers the whole footprint, so this
-   * only fires on out-of-range units).
+   * only fires on out-of-range units). One binary search over a flat
+   * array of region begins; needs `BuildUnitIndex`.
    */
   uint32_t TenantOfUnit(PageId unit, PageMode mode) const;
+
+ private:
+  /** Region unit ranges under one PageMode, in region order. */
+  struct UnitIndex {
+    std::vector<PageId> begins;
+    std::vector<PageId> ends;
+  };
+  UnitIndex unit_index_[2];  //!< Indexed by PageMode.
 };
 
 }  // namespace hybridtier

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace hybridtier {
@@ -29,10 +30,21 @@ class PackedCounterArray {
   PackedCounterArray(size_t count, uint32_t bits);
 
   /** Returns counter `i`. */
-  uint32_t Get(size_t i) const;
+  uint32_t Get(size_t i) const {
+    HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
+    const uint64_t word = words_[i >> word_shift_];
+    return static_cast<uint32_t>((word >> LaneShift(i)) & max_value_);
+  }
 
   /** Sets counter `i` to `value` (clamped to the counter maximum). */
-  void Set(size_t i, uint32_t value);
+  void Set(size_t i, uint32_t value) {
+    HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
+    if (value > max_value_) value = max_value_;
+    uint64_t& word = words_[i >> word_shift_];
+    const uint32_t shift = LaneShift(i);
+    word &= ~(static_cast<uint64_t>(max_value_) << shift);
+    word |= static_cast<uint64_t>(value) << shift;
+  }
 
   /** Increments counter `i`, saturating at max_value(); returns new value. */
   uint32_t SaturatingIncrement(size_t i);
@@ -67,10 +79,19 @@ class PackedCounterArray {
   }
 
  private:
+  /** Bit offset of counter `i` within its word. */
+  uint32_t LaneShift(size_t i) const {
+    return static_cast<uint32_t>(i & lane_mask_) * bits_;
+  }
+
   size_t count_;
   uint32_t bits_;
   uint32_t max_value_;
   uint32_t per_word_;
+  // per_word_ (16, 8 or 4 lanes) is a power of two, so the word index
+  // and the lane are a shift and a mask, not a division.
+  uint32_t word_shift_;  //!< log2(per_word_).
+  size_t lane_mask_;     //!< per_word_ - 1.
   std::vector<uint64_t> words_;
 };
 

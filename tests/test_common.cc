@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/ema.h"
 #include "common/histogram.h"
@@ -234,6 +238,45 @@ TEST(WindowedPercentile, SlidesWindow) {
 TEST(WindowedPercentile, EmptyReturnsZero) {
   WindowedPercentile window(8);
   EXPECT_DOUBLE_EQ(window.Median(), 0.0);
+}
+
+TEST(WindowedPercentile, QuantilesEqualTwoQuantileCalls) {
+  // One shared scratch buffer across every window, as the simulation
+  // uses it: a larger earlier copy must not leak into a smaller window.
+  std::vector<double> scratch;
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> value(0.0, 1000.0);
+  constexpr size_t kCapacity = 64;
+  // Sizes 1, 2 and odd, then full after the ring has wrapped.
+  for (const size_t adds : {kCapacity * 3 + 5, size_t{1}, size_t{2},
+                            size_t{33}}) {
+    WindowedPercentile window(kCapacity);
+    std::vector<double> added;
+    for (size_t i = 0; i < adds; ++i) {
+      // Coarse values so ties occur.
+      added.push_back(std::floor(value(rng) / 50.0));
+      window.Add(added.back());
+    }
+    std::vector<double> sorted(
+        added.end() - static_cast<ptrdiff_t>(window.size()), added.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [qa, qb] : {std::pair{0.5, 0.99}, std::pair{0.99, 0.5},
+                                 std::pair{0.0, 1.0}, std::pair{0.5, 0.5}}) {
+      const auto [a, b] = window.Quantiles(qa, qb, &scratch);
+      EXPECT_EQ(a, window.Quantile(qa)) << adds << " q=" << qa;
+      EXPECT_EQ(b, window.Quantile(qb)) << adds << " q=" << qb;
+      // Nearest rank over the window's own contents.
+      const auto rank = [&](double q) {
+        return std::min(sorted.size() - 1,
+                        static_cast<size_t>(q * sorted.size()));
+      };
+      EXPECT_EQ(a, sorted[rank(qa)]) << adds << " q=" << qa;
+      EXPECT_EQ(b, sorted[rank(qb)]) << adds << " q=" << qb;
+    }
+  }
+  const WindowedPercentile empty(8);
+  EXPECT_EQ(empty.Quantiles(0.5, 0.99, &scratch),
+            (std::pair<double, double>{0.0, 0.0}));
 }
 
 TEST(ReservoirSampler, ExactWhenUnderCapacity) {

@@ -42,6 +42,11 @@ class TieredMemoryTestPeer {
     memory->endpoint_fast_resident_[endpoint] +=
         static_cast<uint64_t>(delta);
   }
+  static void CorruptRegionResident(TieredMemory* memory, uint32_t region,
+                                    Tier tier, int64_t delta) {
+    memory->region_resident_[static_cast<size_t>(tier)][region] +=
+        static_cast<uint64_t>(delta);
+  }
 };
 
 namespace {
@@ -403,6 +408,21 @@ TEST(Watchdog, CatchesEndpointMirrorCorruption) {
   ASSERT_TRUE(watchdog2.RunChecks(0));
   TieredMemoryTestPeer::CorruptEndpointFastResident(&memory2, 0, +2);
   EXPECT_FALSE(watchdog2.RunChecks(1000));
+}
+
+TEST(Watchdog, CatchesRegionTallyCorruption) {
+  // Fair-share quotas read per-tenant occupancy from these tallies.
+  for (const Tier tier : {Tier::kFast, Tier::kSlow}) {
+    TieredMemory memory(1024, 128, 1024);
+    memory.DefineRegions({PageRange{0, 300}, PageRange{300, 1024}});
+    for (PageId page = 0; page < 512; ++page) memory.Touch(page, 0);
+    InvariantWatchdog watchdog(&memory);
+    ASSERT_TRUE(watchdog.RunChecks(0)) << watchdog.last_error();
+    TieredMemoryTestPeer::CorruptRegionResident(&memory, 1, tier, +1);
+    EXPECT_FALSE(watchdog.RunChecks(1000));
+    EXPECT_NE(watchdog.last_error().find("region 1"), std::string::npos)
+        << watchdog.last_error();
+  }
 }
 
 TEST(Watchdog, CatchesAttributionIdentityViolation) {

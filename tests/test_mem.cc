@@ -364,5 +364,24 @@ TEST(TieredMemory, DefineRegionsSeedsCountersFromExistingState) {
   EXPECT_EQ(mem.RegionResident(1, Tier::kSlow), 30u);
 }
 
+TEST(TieredMemory, RedefiningRegionsKeepsOrReplacesTheLayout) {
+  TieredMemory mem(100, 30, 100, AllocationPolicy::kFastFirst);
+  const std::vector<PageRange> halves = {PageRange{0, 50},
+                                         PageRange{50, 100}};
+  mem.DefineRegions(halves);
+  for (PageId page = 0; page < 80; ++page) mem.Touch(page, 0);
+  // The same layout again (a policy and the simulation both register
+  // the tenant layout) keeps the live counters.
+  mem.DefineRegions(halves);
+  EXPECT_EQ(mem.regions(), halves);
+  EXPECT_EQ(mem.RegionResident(0, Tier::kFast), 30u);
+  EXPECT_EQ(mem.RegionResident(1, Tier::kSlow), 30u);
+  // A different layout is re-seeded from the page state.
+  mem.DefineRegions({PageRange{0, 10}, PageRange{10, 100}});
+  EXPECT_EQ(mem.RegionResident(0, Tier::kFast), 10u);
+  EXPECT_EQ(mem.RegionResident(1, Tier::kFast), 20u);
+  EXPECT_EQ(mem.RegionResident(1, Tier::kSlow), 50u);
+}
+
 }  // namespace
 }  // namespace hybridtier

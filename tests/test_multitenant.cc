@@ -281,8 +281,9 @@ TEST(TenantDirectory, TenantOfUnitMatchesRanges) {
   for (const PageMode mode : {PageMode::kRegular, PageMode::kHuge}) {
     for (uint32_t t = 0; t < directory.size(); ++t) {
       const PageRange range = directory.regions[t].UnitRange(mode);
-      EXPECT_EQ(directory.TenantOfUnit(range.begin, mode), t);
-      EXPECT_EQ(directory.TenantOfUnit(range.end - 1, mode), t);
+      for (PageId unit = range.begin; unit < range.end; ++unit) {
+        ASSERT_EQ(directory.TenantOfUnit(unit, mode), t) << unit;
+      }
     }
   }
 }
@@ -690,6 +691,75 @@ TEST(FairSharePolicy, GateChargesNonResidentAdmissionsDurably) {
   EXPECT_EQ(harness.FastResident(0), 128u);
 }
 
+TEST(FairSharePolicy, FirstTouchReleasesChargeWithoutOnAccess) {
+  FairShareConfig config;
+  config.rebalance = false;
+  FairShareHarness harness(AllocationPolicy::kFastFirst, config,
+                           std::make_unique<StagedBatchPolicy>(),
+                           TwoTenantDirectoryWeighted(1.0, 3.0));
+  TieredMemory& mem = harness.memory();
+  for (PageId page = 1024; page < 1536; ++page) mem.Touch(page, 0);
+  for (PageId page = 0; page < 500; ++page) mem.Touch(page, 0);
+  for (PageId page = 1224; page < 1536; ++page) {
+    ASSERT_TRUE(mem.Migrate(page, Tier::kSlow));
+  }
+  harness.policy().Tick(1 * kMillisecond);
+  ASSERT_EQ(harness.policy().pending_first_touch(0), 12u);
+
+  // The staged pages land without the wrapper seeing the accesses (a
+  // kNone base gets no OnAccess at all): each landing ends its charge.
+  for (PageId page = 500; page < 506; ++page) {
+    ASSERT_TRUE(mem.Touch(page, 2 * kMillisecond).first_touch);
+  }
+  EXPECT_EQ(harness.policy().pending_first_touch(0), 6u);
+  TenantQuotaStats stats;
+  ASSERT_TRUE(harness.policy().GetTenantQuotaStats(0, &stats));
+  EXPECT_EQ(stats.pending_first_touch, 6u);
+  for (PageId page = 506; page < 512; ++page) {
+    mem.Touch(page, 2 * kMillisecond);
+  }
+  EXPECT_EQ(harness.policy().pending_first_touch(0), 0u);
+  EXPECT_EQ(harness.policy().fast_units(0), harness.FastResident(0));
+}
+
+/** Batch-tolerant test policy that counts the events delivered. */
+class CountingBatchPolicy : public TieringPolicy {
+ public:
+  explicit CountingBatchPolicy(size_t* events) : events_(events) {}
+  AccessInterest access_interest() const override {
+    return AccessInterest::kBatched;
+  }
+  size_t MetadataBytes() const override { return 0; }
+  const char* name() const override { return "CountingBatch"; }
+
+ protected:
+  void OnAccessBatchImpl(std::span<const TouchEvent> events) override {
+    *events_ += events.size();
+  }
+
+ private:
+  size_t* events_;
+};
+
+TEST(FairSharePolicy, InheritsBaseAccessInterest) {
+  // The wrapper observes nothing per access itself: a sample-driven
+  // base keeps the zero-cost dispatch, a fault-driven base stays inline.
+  const TenantDirectory directory = TwoTenantDirectory();
+  const FairSharePolicy over_hybridtier(MakePolicy("HybridTier"), directory);
+  EXPECT_EQ(over_hybridtier.access_interest(), AccessInterest::kNone);
+  const FairSharePolicy over_tpp(MakePolicy("TPP"), directory);
+  EXPECT_EQ(over_tpp.access_interest(), AccessInterest::kInline);
+
+  // A batch-tolerant base gets each op's batch in one forwarded call.
+  size_t delivered = 0;
+  FairSharePolicy over_batched(
+      std::make_unique<CountingBatchPolicy>(&delivered), directory);
+  EXPECT_EQ(over_batched.access_interest(), AccessInterest::kBatched);
+  const std::vector<TouchEvent> events(3);
+  over_batched.OnAccessBatch(events);
+  EXPECT_EQ(delivered, 3u);
+}
+
 // ------------------------------------------- coldest-first enforcement --
 
 /**
@@ -1090,16 +1160,18 @@ TEST(MultiTenantSimulation, FairShareKeepsEveryTenantWithinQuota) {
                                                 mux->directory());
   SimulationConfig config = SmallSimConfig();
   config.max_accesses = 400000;
-  const SimulationResult result =
-      RunSimulation(config, mux.get(), fair.get());
+  // The wrapper reads occupancy from the simulation's memory, so the
+  // simulation must outlive the fast_units reads below.
+  Simulation simulation(config, mux.get(), fair.get());
+  const SimulationResult result = simulation.Run();
 
   const FairShareConfig defaults;
   for (uint32_t t = 0; t < mux->tenant_count(); ++t) {
     EXPECT_LE(result.tenants[t].fast_resident_units,
               fair->quota_units(t) + defaults.max_enforce_batch)
         << "tenant " << result.tenants[t].name << " exceeds its quota";
-    // The wrapper's incremental occupancy tracking matches the memory
-    // system's ground truth at end of run.
+    // The wrapper's occupancy reads agree with the per-tenant results
+    // at end of run.
     EXPECT_EQ(result.tenants[t].fast_resident_units, fair->fast_units(t));
   }
 }
