@@ -36,7 +36,6 @@
 #include "obs/attribution.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 #include "workloads/factory.h"
 
@@ -124,8 +123,6 @@ void PrintUsage() {
          "                    per-component latency decomposition plus\n"
          "                    the migration reason/mis-tiering audit\n"
          "                    after the run (see README \"Diagnosis\")\n"
-         "  --profile-stages  per-stage profile of every op's simulated\n"
-         "                    ns (deterministic, byte-identical)\n"
          "  --log-level <l>   debug | info | warn | error | silent\n"
          "                    (default info)\n";
 }
@@ -159,20 +156,11 @@ void WriteTraceFile(const std::string& path,
 }
 
 /** Prints the post-run diagnosis blocks for the attached sinks. */
-void PrintDiagnosis(bool diagnose, bool profile_stages,
-                    const LatencyAttribution& attribution,
-                    const DecisionAudit& audit,
-                    const StageProfiler& stages) {
-  if (diagnose) {
-    std::cout << "latency decomposition (" << attribution.ops()
-              << " ops):\n"
-              << attribution.Report() << "decision audit:\n"
-              << audit.Report();
-  }
-  if (profile_stages) {
-    std::cout << "stage profile (virtual ns, deterministic):\n"
-              << stages.Report();
-  }
+void PrintDiagnosis(const LatencyAttribution& attribution,
+                    const DecisionAudit& audit) {
+  std::cout << "latency decomposition (" << attribution.ops() << " ops):\n"
+            << attribution.Report() << "decision audit:\n"
+            << audit.Report();
 }
 
 /** Prints the per-tenant table and fairness index of a tenants run. */
@@ -234,7 +222,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   bool diagnose = false;
-  bool profile_stages = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -351,8 +338,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--diagnose") {
       diagnose = true;
-    } else if (arg == "--profile-stages") {
-      profile_stages = true;
     } else if (arg == "--log-level") {
       SetLogLevel(ParseLogLevel(next()));
     } else {
@@ -390,9 +375,8 @@ int main(int argc, char** argv) {
                  "ratio for --tenants runs\n";
     return 1;
   }
-  if ((diagnose || profile_stages) && ratios.size() > 1) {
-    std::cerr << "--diagnose/--profile-stages report one cell; pick a "
-                 "single --ratio\n";
+  if (diagnose && ratios.size() > 1) {
+    std::cerr << "--diagnose reports one cell; pick a single --ratio\n";
     return 1;
   }
 
@@ -439,12 +423,10 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) config.telemetry.trace = &trace;
     LatencyAttribution attribution;
     DecisionAudit audit;
-    StageProfiler stages;
     if (diagnose) {
       config.telemetry.attribution = &attribution;
       config.telemetry.audit = &audit;
     }
-    if (profile_stages) config.telemetry.stages = &stages;
 
     Simulation simulation(config, mux.get(), policy.get());
     const SimulationResult result = simulation.Run();
@@ -496,7 +478,7 @@ int main(int argc, char** argv) {
                 << " evacuated / " << result.fault.spilled_pages
                 << " spilled pages\n";
     }
-    PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
+    if (diagnose) PrintDiagnosis(attribution, audit);
     return 0;
   }
 
@@ -615,12 +597,10 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) config.telemetry.trace = &trace;
   LatencyAttribution attribution;
   DecisionAudit audit;
-  StageProfiler stages;
   if (diagnose) {
     config.telemetry.attribution = &attribution;
     config.telemetry.audit = &audit;
   }
-  if (profile_stages) config.telemetry.stages = &stages;
 
   Simulation simulation(config, workload.get(), policy.get());
   const SimulationResult result = simulation.Run();
@@ -660,6 +640,6 @@ int main(int argc, char** argv) {
               << " spilled pages (" << result.fault.evac_retries
               << " backoff retries)\n";
   }
-  PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
+  if (diagnose) PrintDiagnosis(attribution, audit);
   return 0;
 }

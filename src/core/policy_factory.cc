@@ -35,14 +35,10 @@ std::unique_ptr<TieringPolicy> MakePolicy(const std::string& name,
     return std::make_unique<MemtisPolicy>(config);
   }
   if (name == "AutoNUMA") {
-    AutoNumaConfig config;
-    config.promotion_latency_ns = options.autonuma_promotion_latency_ns;
-    return std::make_unique<AutoNumaPolicy>(config);
+    return std::make_unique<HintFaultPolicy>(HintFaultConfig::AutoNuma());
   }
   if (name == "TPP") {
-    TppConfig config;
-    config.active_window_ns = options.tpp_active_window_ns;
-    return std::make_unique<TppPolicy>(config);
+    return std::make_unique<HintFaultPolicy>(HintFaultConfig::Tpp());
   }
   if (name == "ARC") return std::make_unique<ArcPolicy>();
   if (name == "TwoQ") return std::make_unique<TwoQPolicy>();

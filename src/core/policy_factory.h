@@ -17,10 +17,9 @@
 
 #include "core/hybridtier_policy.h"
 #include "mem/tiered_memory.h"
-#include "policies/autonuma.h"
+#include "policies/hint_fault.h"
 #include "policies/memtis.h"
 #include "policies/policy.h"
-#include "policies/tpp.h"
 
 namespace hybridtier {
 
@@ -36,10 +35,6 @@ struct PolicyOptions {
   uint32_t momentum_threshold = 3;
   /** Second-chance revisit delay. */
   TimeNs second_chance_revisit_ns = 300 * kMillisecond;
-  /** AutoNUMA hint-fault promotion latency threshold. */
-  TimeNs autonuma_promotion_latency_ns = 20 * kMillisecond;
-  /** TPP active-list window. */
-  TimeNs tpp_active_window_ns = 100 * kMillisecond;
   /** Promotion batch, in samples, for batched policies. */
   uint64_t promo_batch_samples = 2048;
 };

@@ -74,7 +74,6 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   // through its context so it can register its own tracks in Bind.
   metrics_ = config.telemetry.metrics;
   trace_ = config.telemetry.trace;
-  stages_ = config.telemetry.stages;
   attr_ = config.telemetry.attribution;
   audit_ = config.telemetry.audit;
   if (audit_ != nullptr) {
@@ -391,7 +390,7 @@ void Simulation::SetupTelemetry() {
     m.AddProbe("audit/dropped_records", [this] {
       return static_cast<double>(audit_->dropped_records());
     });
-    for (uint32_t r = 1;
+    for (uint32_t r = 0;
          r < static_cast<uint32_t>(MigrationReason::kCount); ++r) {
       const MigrationReason reason = static_cast<MigrationReason>(r);
       const std::string prefix =
@@ -770,9 +769,6 @@ void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
     op_latency += latency;
   }
   accesses_ += count;
-  // Memory-service ns of this op (everything but overhead and stalls);
-  // the stage profile's kCache bucket.
-  const TimeNs access_ns = op_latency - config_.op_overhead_ns;
 
   if (batch_policy) {
     // One virtual dispatch for the whole op; events carry the same
@@ -812,7 +808,6 @@ void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
   const MigrationStats& mig = migration_->stats();
   const uint64_t batches = mig.promotion_batches + mig.demotion_batches;
   const uint64_t pages = mig.promoted_pages + mig.demoted_pages;
-  TimeNs stall_charged = 0;
   if (batches != last_migration_batches_ ||
       pages != last_migration_pages_) {
     const TimeNs stall =
@@ -821,7 +816,6 @@ void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
         (pages - last_migration_pages_) * config_.perf.tlb_page_stall_ns;
     now_ += stall;
     op_latency += stall;
-    stall_charged = stall;
     if (attr_ != nullptr) [[unlikely]] {
       attr_->AddMigrationStall(attr_tenant, stall);
     }
@@ -841,18 +835,6 @@ void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
   if (op_latency_hist_ != nullptr) op_latency_hist_->Observe(op_latency);
   if (attr_ != nullptr) [[unlikely]] {
     attr_->CloseOp(attr_tenant, op_latency);
-  }
-
-  if (stages_ != nullptr) [[unlikely]] {
-    // Every bucket is a simulated quantity this function already
-    // computed, so the profile is a pure function of the event stream.
-    // Policy and sampler work has no simulated cost of its own: it is
-    // modeled as metadata cache pollution, not latency.
-    stages_->Record(Stage::kGeneration, op.think_time_ns);
-    stages_->Record(Stage::kCache, access_ns);
-    stages_->Record(Stage::kMigration, stall_charged);
-    stages_->Record(Stage::kAccounting, config_.op_overhead_ns);
-    stages_->RecordOp(op.think_time_ns + op_latency, count);
   }
 }
 

@@ -131,10 +131,10 @@ struct SimulationConfig {
   bool prefault_at_start = true;
   uint64_t seed = 1;                    //!< Sampler jitter seed.
   /**
-   * Optional telemetry sinks (metrics registry, trace emitter, stage
-   * profiler, latency attribution, decision audit), all non-owning and
-   * null by default. Their content is keyed to virtual time and stays
-   * bit-identical across reruns and sweep `--jobs` values.
+   * Optional telemetry sinks (metrics registry, trace emitter, latency
+   * attribution, decision audit), all non-owning and null by default.
+   * Their content is keyed to virtual time and stays bit-identical
+   * across reruns and sweep `--jobs` values.
    */
   Telemetry telemetry;
 };
@@ -449,7 +449,6 @@ class Simulation {
   // Telemetry (all null/empty when disabled; see SetupTelemetry).
   MetricRegistry* metrics_ = nullptr;
   TraceEmitter* trace_ = nullptr;
-  StageProfiler* stages_ = nullptr;
   LatencyAttribution* attr_ = nullptr;
   DecisionAudit* audit_ = nullptr;
   HistogramMetric* op_latency_hist_ = nullptr;  //!< Owned by metrics_.

@@ -67,14 +67,6 @@ class MigrationEngine {
   virtual TimeNs Demote(std::span<const PageId> pages, TimeNs now,
                         MigrationReason reason);
 
-  /** Legacy unstamped call sites record kUnspecified. */
-  TimeNs Promote(std::span<const PageId> pages, TimeNs now) {
-    return Promote(pages, now, MigrationReason::kUnspecified);
-  }
-  TimeNs Demote(std::span<const PageId> pages, TimeNs now) {
-    return Demote(pages, now, MigrationReason::kUnspecified);
-  }
-
   /** Cumulative statistics. */
   const MigrationStats& stats() const { return stats_; }
 

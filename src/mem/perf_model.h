@@ -103,11 +103,6 @@ class PerfModel {
   PerfModel(const PerfModelConfig& config, const TierConfig& fast,
             const TierConfig& slow, const Topology& topology);
 
-  /** Legacy entry point: slow-tier accesses hit endpoint 0. */
-  TimeNs MemoryAccess(Tier tier, TimeNs now) {
-    return MemoryAccess(tier, 0, now);
-  }
-
   /**
    * Returns the latency of a demand access of one cache line served by
    * `tier` (endpoint `endpoint` when slow) at virtual time `now`,
@@ -159,30 +154,19 @@ class PerfModel {
   }
 
   /**
-   * Accounts a bulk transfer of `bytes` on `tier`'s channel starting at
-   * `now` (used for page migrations: the source is read and the
-   * destination written). Slow-tier transfers hit endpoint 0; see
-   * OccupyEndpoint for explicit endpoint routing. Returns the transfer
-   * duration.
+   * Accounts a bulk transfer of `bytes` on one slow endpoint's port
+   * (and its switch link) starting at `now` — a page-migration copy leg
+   * or an evacuation read. Returns the transfer duration.
    */
-  TimeNs OccupyChannel(Tier tier, uint64_t bytes, TimeNs now);
-
-  /** Bulk transfer on one slow endpoint's port (and its switch link). */
   TimeNs OccupyEndpoint(uint32_t endpoint, uint64_t bytes, TimeNs now);
 
   /**
-   * Full cost of migrating `num_pages` pages of `page_bytes` each in one
-   * batch at time `now`: syscall overhead + per-page kernel cost, with
-   * the fast channel and slow endpoint 0 occupied by the copy traffic.
-   */
-  TimeNs MigrationCost(uint64_t num_pages, uint64_t page_bytes, TimeNs now);
-
-  /**
-   * Multi-endpoint migration cost: `pages_per_endpoint[i]` pages move
-   * between the fast tier and endpoint `i` in one batch. The fast
-   * channel carries the total; each endpoint carries its own share; the
-   * batch's copy phase ends when the slowest leg finishes. With a
-   * single endpoint this is exactly MigrationCost.
+   * Full cost of one migration batch at time `now`:
+   * `pages_per_endpoint[i]` pages of `page_bytes` each move between the
+   * fast tier and endpoint `i`. Charges syscall overhead + per-page
+   * kernel cost; the copy traffic occupies the fast channel (the whole
+   * batch) and each endpoint (its own share), and the copy phase ends
+   * when the slowest leg finishes.
    */
   TimeNs MigrationCostSplit(std::span<const uint64_t> pages_per_endpoint,
                             uint64_t page_bytes, TimeNs now);
@@ -324,6 +308,9 @@ class PerfModel {
     }
     *busy_until = base + duration;
   }
+
+  /** Bulk transfer of `bytes` on the fast channel; returns its duration. */
+  TimeNs OccupyFast(uint64_t bytes, TimeNs now);
 
   /** ns a channel of `gbps` is busy transferring `bytes`. */
   static TimeNs TransferTime(double gbps, uint64_t bytes);

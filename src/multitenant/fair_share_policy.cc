@@ -19,6 +19,27 @@ constexpr uint64_t kGhostTableBase = 1ULL << 52;   // Shadow MRC counters.
 // Per-tenant stride of the ghost table's synthetic line addresses.
 constexpr uint64_t kGhostTenantStride = 1ULL << 32;
 
+// Fraction of a tenant's static (weight-proportional) quota that is
+// always guaranteed, regardless of demand.
+constexpr double kMinShare = 0.25;
+// Per-tenant cap on buffered fill candidates between ticks.
+constexpr size_t kCandidateBuffer = 1024;
+// Fraction of each quota the filler leaves empty for the base policy's
+// own (frequency-thresholded) promotions, so filling never crowds out
+// the wrapped policy's better-informed picks.
+constexpr double kFillMargin = 0.125;
+// Rotate (demote to the fill limit at rebalance) tenants whose sampled
+// fast-access fraction is below this, so a bad resident mix gets
+// swapped out instead of pinning the tenant's hit density — and
+// therefore its quota — at the floor forever.
+constexpr double kRotateBelow = 0.5;
+// Target sampled-unit count of each tenant's ghost MRC estimate
+// (marginal mode). A tenant whose region span exceeds it gets SHARDS
+// spatial sampling at the smallest power-of-two rate that fits
+// (`GhostMrc::SampleShiftFor`), shrinking its counter memory by the
+// same factor; smaller tenants stay exact.
+constexpr uint64_t kGhostSampleBudget = 1024;
+
 }  // namespace
 
 QuotaMode ParseQuotaMode(const std::string& name) {
@@ -72,6 +93,7 @@ FairSharePolicy::FairSharePolicy(std::unique_ptr<TieringPolicy> base,
   HT_ASSERT(base_ != nullptr, "fair-share wrapper needs a base policy");
   HT_ASSERT(!directory_.regions.empty(),
             "fair-share wrapper needs at least one tenant");
+  HT_ASSERT(config_.release_batch > 0, "release_batch must be positive");
   name_ = std::string("FairShare(") + base_->name() + ")";
   directory_.BuildUnitIndex();
 }
@@ -152,7 +174,7 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
       const uint64_t span =
           directory_.regions[t].UnitRange(context.mode).size();
       ghost_.emplace_back(
-          span, GhostMrc::SampleShiftFor(span, config_.ghost_sample_budget));
+          span, GhostMrc::SampleShiftFor(span, kGhostSampleBudget));
     }
   }
 
@@ -354,7 +376,7 @@ bool FairSharePolicy::AdvanceTenantWindows(uint32_t t, TimeNs now) {
       }
       if (config_.arrival_grace > 0.0) {
         // Warm-up grace: the newcomer has no demand history, so the
-        // first rebalance would drop it to the min_share floor (the
+        // first rebalance would drop it to the kMinShare floor (the
         // post-arrival fairness dip fig_tenant_churn measures). Raise
         // its floor for one window and seed its demand EMA from the
         // incumbents' weighted average, so it bids as an average
@@ -433,21 +455,19 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
     const uint32_t t = draining_[i];
     if (fast_units(t) > 0) {
       // Reclaim writeback, paced: demote up to release_batch fast
-      // units per tick (0 = the legacy whole-share flush), in address
-      // order — hotness ranking is pointless for a dead tenant's
-      // pages, sequential reclaim is what an exit path does. The scan
-      // resumes at the drain cursor, so each pagemap byte is walked
-      // once per drain instead of once per tick. Nothing can land new
-      // fast units behind the cursor: the tenant is out of the mux
-      // rotation and its zero quota gates every promotion path.
+      // units per tick, in address order — hotness ranking is
+      // pointless for a dead tenant's pages, sequential reclaim is what
+      // an exit path does. The scan resumes at the drain cursor, so
+      // each pagemap byte is walked once per drain instead of once per
+      // tick. Nothing can land new fast units behind the cursor: the
+      // tenant is out of the mux rotation and its zero quota gates
+      // every promotion path.
       const PageRange range =
           directory_.regions[t].UnitRange(context().mode);
-      const uint64_t batch = config_.release_batch == 0
-                                 ? range.size()
-                                 : config_.release_batch;
       victims_.clear();
       PageId unit = drain_cursor_[t];
-      for (; unit < range.end && victims_.size() < batch; ++unit) {
+      for (; unit < range.end && victims_.size() < config_.release_batch;
+           ++unit) {
         sink().Touch(kSharePagemapBase + (unit / 8) * kCacheLineSize);
         if (memory().IsResident(unit) &&
             memory().TierOf(unit) == Tier::kFast) {
@@ -529,7 +549,7 @@ void FairSharePolicy::FinishRelease(uint32_t tenant, TimeNs now) {
 
 uint64_t FairSharePolicy::RebalanceFloor(uint32_t tenant,
                                          TimeNs now) const {
-  double fraction = config_.min_share;
+  double fraction = kMinShare;
   // Post-arrival grace: guarantee (a fraction of) the static share for
   // the first window while the demand estimate warms up.
   if (now < grace_until_ns_[tenant]) {
@@ -677,7 +697,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
   // alone (no churn).
   for (size_t i = 0; i < m; ++i) {
     const uint32_t t = active_[i];
-    if (scratch_fraction_[i] < config_.rotate_below) {
+    if (scratch_fraction_[i] < kRotateBelow) {
       if (trace_ != nullptr) {
         trace_->Instant(tenant_track_[t], "rotate", now,
                         {{"fast_fraction", scratch_fraction_[i]}});
@@ -689,7 +709,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
 
 uint64_t FairSharePolicy::FillLimit(uint32_t tenant) const {
   const uint64_t margin = static_cast<uint64_t>(
-      static_cast<double>(quota_[tenant]) * config_.fill_margin);
+      static_cast<double>(quota_[tenant]) * kFillMargin);
   return quota_[tenant] - std::min(quota_[tenant], margin);
 }
 
@@ -974,10 +994,10 @@ void FairSharePolicy::OnSample(const SampleRecord& sample) {
     }
   }
   if (sample.tier == Tier::kSlow &&
-      candidates_[t].size() < config_.candidate_buffer) {
+      candidates_[t].size() < kCandidateBuffer) {
     candidates_[t].push_back(sample.page);
     sink().Touch(kQuotaTableBase +
-                 (64 + t * config_.candidate_buffer / 8 +
+                 (64 + t * kCandidateBuffer / 8 +
                   (candidates_[t].size() - 1) / 8) *
                      kCacheLineSize);
   }
@@ -1018,7 +1038,7 @@ size_t FairSharePolicy::MetadataBytes() const {
     pending_bytes += LiveCharges(t) * sizeof(PageId);
   }
   return base_->MetadataBytes() +
-         directory_.regions.size() * (10 + config_.candidate_buffer) * 8 +
+         directory_.regions.size() * (10 + kCandidateBuffer) * 8 +
          pending_bytes + ghost_bytes;
 }
 

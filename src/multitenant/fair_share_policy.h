@@ -32,9 +32,9 @@
  *    while the gated tenant's pages keep crowding the top of its
  *    histogram.
  *  - Rebalance also *rotates* tenants whose placement is visibly bad
- *    (sampled fast fraction under `rotate_below`): they are demoted to
- *    the fill limit so the filler and the base policy can swap better
- *    pages in. Without rotation a tenant pinned at quota with junk
+ *    (sampled fast fraction under one half): they are demoted to the
+ *    fill limit so the filler and the base policy can swap better pages
+ *    in. Without rotation a tenant pinned at quota with junk
  *    pages (e.g. leftover first-touch placement) could never improve
  *    its mix, and its measured hit density would starve it for good.
  *  - Quotas start weight-proportional ("static weights"). When rebalance
@@ -45,10 +45,10 @@
  *        stream) answering "how many sampled hits per window would my
  *        q-th hottest unit contribute?"; the rebalancer water-fills
  *        capacity to whichever tenant has the highest weight-scaled
- *        marginal utility, above guaranteed `min_share` floors. A
- *        streaming tenant whose pages are touched once flattens its own
- *        curve immediately, so it cannot out-bid a hot set — the
- *        failure mode of per-unit densities.
+ *        marginal utility, above guaranteed floors (a quarter of the
+ *        static share). A streaming tenant whose pages are touched once
+ *        flattens its own curve immediately, so it cannot out-bid a hot
+ *        set — the failure mode of per-unit densities.
  *      - *density*: the previous heuristic — sampled fast-tier hits per
  *        resident unit, EMA-smoothed and weight-scaled. Kept as the
  *        comparison baseline (`bench/fig_marginal_utility`).
@@ -114,42 +114,23 @@ struct FairShareConfig {
    * compressed timescales (policy tick 1 ms, stats 20 ms).
    */
   TimeNs rebalance_interval_ns = 25 * kMillisecond;
-  /**
-   * Fraction of a tenant's static (weight-proportional) quota that is
-   * always guaranteed, regardless of demand.
-   */
-  double min_share = 0.25;
   /** Cap on one quota-enforcement demotion batch, in tracking units. */
   uint64_t max_enforce_batch = 4096;
   /** Promote under-quota tenants' sampled slow pages into their share. */
   bool fill_to_quota = true;
-  /** Per-tenant cap on buffered fill candidates between ticks. */
-  size_t candidate_buffer = 1024;
-  /**
-   * Fraction of each quota the filler leaves empty for the base
-   * policy's own (frequency-thresholded) promotions, so filling never
-   * crowds out the wrapped policy's better-informed picks.
-   */
-  double fill_margin = 0.125;
-  /**
-   * Rotate (demote to the fill limit at rebalance) tenants whose
-   * sampled fast-access fraction is below this, so a bad resident mix
-   * gets swapped out instead of pinning the tenant's hit density — and
-   * therefore its quota — at the floor forever.
-   */
-  double rotate_below = 0.5;
   /**
    * Fraction of a newly arrived tenant's static share guaranteed as its
    * floor for the first rebalance window after arrival, while its
    * demand estimate warms up. 0 disables the grace (the tenant starts
-   * from the min_share floor and earns quota only as samples arrive).
+   * from the minimum-share floor and earns quota only as samples
+   * arrive).
    */
   double arrival_grace = 1.0;
   /**
    * Cap on the fast units demoted per tick while draining a departed
    * tenant's share (paced reclaim writeback); the region is released
-   * once the drain finishes. 0 = legacy behavior: the whole share is
-   * demoted in one uncapped batch at the departure tick.
+   * once the drain finishes. Must be positive; a cap at least the
+   * region's size drains the whole share at the departure tick.
    */
   uint64_t release_batch = 4096;
   /**
@@ -165,15 +146,6 @@ struct FairShareConfig {
    * costs the same), so the default two-tier behavior is unchanged.
    */
   bool endpoint_aware = false;
-  /**
-   * Target sampled-unit count of each tenant's ghost MRC estimate
-   * (marginal mode). A tenant whose region span exceeds the budget gets
-   * SHARDS spatial sampling at the smallest power-of-two rate that fits
-   * (`GhostMrc::SampleShiftFor`), shrinking its counter memory by the
-   * same factor; smaller tenants stay exact. 0 disables sampling (every
-   * tenant exact, the pre-fleet behavior).
-   */
-  uint64_t ghost_sample_budget = 1024;
 };
 
 /** Per-tenant quota enforcement as a `TieringPolicy` decorator. */
@@ -417,9 +389,9 @@ class FairSharePolicy : public TieringPolicy,
   void Rebalance(TimeNs now);
 
   /**
-   * The guaranteed floor for `tenant` at a rebalance at `now`: the
-   * min_share fraction of its static quota, raised to the arrival-grace
-   * share while the tenant is inside its post-arrival grace window.
+   * The guaranteed floor for `tenant` at a rebalance at `now`: a
+   * quarter of its static quota, raised to the arrival-grace share
+   * while the tenant is inside its post-arrival grace window.
    */
   uint64_t RebalanceFloor(uint32_t tenant, TimeNs now) const;
 

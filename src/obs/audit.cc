@@ -7,8 +7,6 @@ namespace hybridtier {
 
 const char* MigrationReasonName(MigrationReason reason) {
   switch (reason) {
-    case MigrationReason::kUnspecified:
-      return "unspecified";
     case MigrationReason::kHotnessRank:
       return "hotness_rank";
     case MigrationReason::kCapacityDemand:
@@ -27,6 +25,8 @@ const char* MigrationReasonName(MigrationReason reason) {
       return "fault_evacuation";
     case MigrationReason::kFaultSpill:
       return "fault_spill";
+    case MigrationReason::kHintFault:
+      return "hint_fault";
     case MigrationReason::kCount:
       break;
   }

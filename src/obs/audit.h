@@ -49,7 +49,6 @@ namespace hybridtier {
 
 /** Why a migration batch was issued (one reason per batch). */
 enum class MigrationReason : uint8_t {
-  kUnspecified = 0,  //!< Legacy call site (no reason threaded).
   kHotnessRank,      //!< Sampled hotness crossed the promotion threshold.
   kCapacityDemand,   //!< Demand demotion making room for a promotion batch.
   kWatermark,        //!< Background free-watermark demotion scan.
@@ -59,6 +58,7 @@ enum class MigrationReason : uint8_t {
   kChurnDrain,       //!< Departed-tenant paced region reclaim.
   kFaultEvacuation,  //!< Residents pulled off a down endpoint.
   kFaultSpill,       //!< Fast-tier pages demoted to make evacuation room.
+  kHintFault,        //!< Hint fault passed the TPP/AutoNUMA promotion test.
   kCount,
 };
 
@@ -68,7 +68,7 @@ const char* MigrationReasonName(MigrationReason reason);
 /** One executed migration batch in the flight recorder. */
 struct AuditRecord {
   TimeNs time_ns = 0;
-  MigrationReason reason = MigrationReason::kUnspecified;
+  MigrationReason reason{};
   bool promotion = false;       //!< Promotion batch (else demotion).
   uint32_t pages_moved = 0;     //!< Pages the engine actually moved.
   uint32_t pages_requested = 0; //!< Batch size the policy requested.

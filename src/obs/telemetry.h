@@ -5,12 +5,11 @@
  * @file
  * The telemetry bundle a simulation is configured with.
  *
- * `Telemetry` is five optional pointers — metrics, trace, stage
- * profiler, latency attribution, decision audit — carried by value in
- * `SimulationConfig`. The simulation
- * does not own any of them: the driver (ht_run, a bench, a test)
- * creates whichever sinks it wants, points the config at them, runs,
- * and serializes afterwards. All-null (the default) is the disabled
+ * `Telemetry` is four optional pointers — metrics, trace, latency
+ * attribution, decision audit — carried by value in `SimulationConfig`.
+ * The simulation does not own any of them: the driver (ht_run, a
+ * bench, a test) creates whichever sinks it wants, points the config at
+ * them, runs, and serializes afterwards. All-null (the default) is the disabled
  * state, and every instrumentation site guards on its pointer, so a
  * run without telemetry executes the exact pre-observability code
  * path.
@@ -19,7 +18,6 @@
 #include "obs/attribution.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 
 namespace hybridtier {
@@ -28,15 +26,8 @@ namespace hybridtier {
 struct Telemetry {
   MetricRegistry* metrics = nullptr;
   TraceEmitter* trace = nullptr;
-  StageProfiler* stages = nullptr;
   LatencyAttribution* attribution = nullptr;
   DecisionAudit* audit = nullptr;
-
-  /** True when any sink is attached. */
-  bool enabled() const {
-    return metrics != nullptr || trace != nullptr || stages != nullptr ||
-           attribution != nullptr || audit != nullptr;
-  }
 };
 
 }  // namespace hybridtier

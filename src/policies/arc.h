@@ -50,10 +50,12 @@ class ArcPolicy : public TieringPolicy {
   /** ARC's REPLACE: demotes from T1 or T2 into the ghost lists. */
   void Replace(PageId incoming, bool in_b2, TimeNs now);
 
-  /** Demotes `unit` to the slow tier (single-page migration). */
+  /** Demotes `unit` to the slow tier (single-page migration); every
+   *  ARC demotion is a REPLACE eviction, so it carries kCapacityDemand. */
   void DemoteUnit(PageId unit, TimeNs now);
 
-  /** Promotes `unit` to the fast tier (single-page migration). */
+  /** Promotes `unit` to the fast tier (single-page admission,
+   *  kHotnessRank). */
   void PromoteUnit(PageId unit, TimeNs now);
 
   /** Touches the scattered metadata lines of one list operation. */

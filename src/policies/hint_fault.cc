@@ -1,4 +1,4 @@
-#include "policies/autonuma.h"
+#include "policies/hint_fault.h"
 
 #include <algorithm>
 
@@ -9,51 +9,58 @@
 namespace hybridtier {
 
 namespace {
-constexpr uint64_t kPteBase = 1ULL << 44;      // Fault-handling PTE lines.
-constexpr uint64_t kLruBase = 1ULL << 45;      // MGLRU generation state.
-constexpr uint64_t kPagemapBase = 1ULL << 46;  // Aging/demotion scans.
+constexpr uint64_t kPteBase = 1ULL << 44;        // Fault-handling PTE lines.
+constexpr uint64_t kLruBase = 1ULL << 45;        // MGLRU generation state.
+constexpr uint64_t kPagemapBase = 1ULL << 46;    // Aging/demotion scans.
+constexpr uint64_t kFaultTimeBase = 1ULL << 47;  // TPP last-fault times.
 }  // namespace
 
-AutoNumaPolicy::AutoNumaPolicy(const AutoNumaConfig& config)
+HintFaultPolicy::HintFaultPolicy(const HintFaultConfig& config)
     : config_(config) {
   HT_ASSERT(config.demote_target_frac >= config.demote_trigger_frac,
             "demotion target watermark below trigger watermark");
 }
 
-void AutoNumaPolicy::Bind(const PolicyContext& context) {
+void HintFaultPolicy::Bind(const PolicyContext& context) {
   TieringPolicy::Bind(context);
   ager_ = std::make_unique<ClockAger>(context.footprint_units);
+  if (second_fault()) last_fault_time_.assign(context.footprint_units, 0);
   promotion_tokens_ = config_.promotion_rate_per_tick;
 }
 
-void AutoNumaPolicy::OnAccess(PageId unit, const TouchResult& touch,
-                              TimeNs now) {
+void HintFaultPolicy::OnAccess(PageId unit, const TouchResult& touch,
+                               TimeNs now) {
   // Hardware maintains the accessed bit on every access — free signal.
   ager_->MarkAccessed(unit);
 
   if (!touch.hint_fault) return;
   ++hint_faults_;
-  // Fault handling walks the page table and updates LRU state.
+  // Fault handling walks the page table, then updates the promotion
+  // test's state: TPP's last-fault time or AutoNUMA's LRU generation.
   sink().Touch(kPteBase + (unit / 8) * kCacheLineSize);
-  sink().Touch(kLruBase + (unit / 16) * kCacheLineSize);
+  bool promote;
+  if (second_fault()) {
+    sink().Touch(kFaultTimeBase + (unit / 8) * kCacheLineSize);
+    // Active-list test: a second reference within the window puts the
+    // page on the active LRU list.
+    const TimeNs previous = last_fault_time_[unit];
+    last_fault_time_[unit] = now;
+    promote = previous != 0 && now - previous <= config_.window_ns;
+  } else {
+    sink().Touch(kLruBase + (unit / 16) * kCacheLineSize);
+    // Low hint-fault latency alone promotes, with no frequency check.
+    promote = touch.fault_latency_ns <= config_.window_ns;
+  }
 
-  // Promote on low hint-fault latency, with no frequency check: the
-  // defining AutoNUMA behaviour (and its weakness: a single recent
-  // access promotes a cold page).
-  if (touch.tier == Tier::kSlow &&
-      touch.fault_latency_ns <= config_.promotion_latency_ns) {
-    if (promotion_tokens_ == 0) {
-      ++rate_limited_promotions_;
-      return;
-    }
+  if (promote && touch.tier == Tier::kSlow && promotion_tokens_ > 0) {
     --promotion_tokens_;
     const PageId pages[] = {unit};
-    migration().Promote(pages, now);
+    migration().Promote(pages, now, MigrationReason::kHintFault);
     ++fault_promotions_;
   }
 }
 
-void AutoNumaPolicy::WatermarkDemotion(TimeNs now) {
+void HintFaultPolicy::WatermarkDemotion(TimeNs now) {
   TieredMemory& mem = memory();
   const uint64_t capacity = mem.Capacity(Tier::kFast);
   if (capacity == 0) return;
@@ -85,10 +92,12 @@ void AutoNumaPolicy::WatermarkDemotion(TimeNs now) {
                            victims.push_back(unit);
                          }
                        });
-  if (!victims.empty()) migration().Demote(victims, now);
+  if (!victims.empty()) {
+    migration().Demote(victims, now, MigrationReason::kWatermark);
+  }
 }
 
-void AutoNumaPolicy::Tick(TimeNs now) {
+void HintFaultPolicy::Tick(TimeNs now) {
   TieredMemory& mem = memory();
   const uint64_t footprint = context().footprint_units;
 
@@ -124,10 +133,12 @@ void AutoNumaPolicy::Tick(TimeNs now) {
   WatermarkDemotion(now);
 }
 
-size_t AutoNumaPolicy::MetadataBytes() const {
-  // Accessed-bit + generation state; AutoNUMA also keeps last-fault
-  // scan bookkeeping in struct page (modeled at 4 B per unit).
-  return ager_->memory_bytes() + context().footprint_units * 4;
+size_t HintFaultPolicy::MetadataBytes() const {
+  // Accessed-bit + generation state, plus per-unit fault bookkeeping:
+  // TPP's 8 B last-fault time, or AutoNUMA's last-fault scan state in
+  // struct page (modeled at 4 B per unit).
+  return ager_->memory_bytes() +
+         context().footprint_units * (second_fault() ? sizeof(TimeNs) : 4);
 }
 
 }  // namespace hybridtier

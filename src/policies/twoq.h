@@ -43,7 +43,9 @@ class TwoQPolicy : public TieringPolicy {
   /** Frees one cached slot per the 2Q reclaim rule. */
   void ReclaimOne(TimeNs now);
 
+  /** Single-page reclaim demotion (kCapacityDemand). */
   void DemoteUnit(PageId unit, TimeNs now);
+  /** Single-page admission (kHotnessRank). */
   void PromoteUnit(PageId unit, TimeNs now);
   void TouchListMetadata(PageId unit);
 

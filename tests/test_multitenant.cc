@@ -392,7 +392,9 @@ class PromoteAllPolicy : public TieringPolicy {
         pages.push_back(unit);
       }
     }
-    if (!pages.empty()) migration().Promote(pages, now);
+    if (!pages.empty()) {
+      migration().Promote(pages, now, MigrationReason::kHotnessRank);
+    }
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "PromoteAll"; }
@@ -512,9 +514,9 @@ class DupBatchPolicy : public TieringPolicy {
     if (done_) return;
     done_ = true;
     const std::vector<PageId> promote = {0, 0, 0, 5, 5, 1030, 1030};
-    migration().Promote(promote, now);
+    migration().Promote(promote, now, MigrationReason::kHotnessRank);
     const std::vector<PageId> demote = {0, 0};
-    migration().Demote(demote, now);
+    migration().Demote(demote, now, MigrationReason::kCapacityDemand);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "DupBatch"; }
@@ -554,7 +556,7 @@ class MixedBatchPolicy : public TieringPolicy {
     // belonging to tenant a.
     for (PageId page = 500; page < 512; ++page) batch.push_back(page);
     for (PageId page = 0; page < 200; ++page) batch.push_back(page);
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "MixedBatch"; }
@@ -626,7 +628,7 @@ class StagedBatchPolicy : public TieringPolicy {
     } else {
       return;
     }
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "StagedBatch"; }
@@ -771,7 +773,7 @@ class RepromoteHotSetPolicy : public TieringPolicy {
   void Tick(TimeNs now) override {
     std::vector<PageId> batch;
     for (PageId page = 384; page < 512; ++page) batch.push_back(page);
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   uint32_t HotnessOf(PageId unit) const override {
     return unit >= 384 && unit < 512 ? 5 : 0;
@@ -990,7 +992,7 @@ TEST(FairSharePolicy, UncappedReleaseBatchDrainsInOneTick) {
   FairShareConfig config;
   config.rebalance = false;
   config.fill_to_quota = false;
-  config.release_batch = 0;  // Legacy whole-share flush.
+  config.release_batch = 1024;  // At least the region: one-tick drain.
   FairShareHarness harness(
       AllocationPolicy::kSlowOnly, config, std::make_unique<IdlePolicy>(),
       RecurringDirectory(5 * kMillisecond, 20 * kMillisecond));

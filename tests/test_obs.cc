@@ -26,7 +26,6 @@
 #include "obs/attribution.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 #include "workloads/factory.h"
 #include "workloads/trace.h"
@@ -190,28 +189,6 @@ TEST(Trace, MergedEmittersKeepCellOrder) {
   EXPECT_LT(pos_a, pos_b);
 }
 
-// ------------------------------------------------------ StageProfiler --
-
-TEST(StageProfilerTest, RecordsAndMerges) {
-  // Records of one stage merge into a single per-stage total.
-  StageProfiler a;
-  a.Record(Stage::kCache, 100);
-  a.Record(Stage::kMigration, 50);
-  a.RecordOp(200, 10);
-  a.Record(Stage::kCache, 300);
-  a.RecordOp(400, 30);
-  EXPECT_EQ(a.totals(Stage::kCache).ns, 400u);
-  EXPECT_EQ(a.totals(Stage::kCache).events, 2u);
-  EXPECT_EQ(a.ops(), 2u);
-  EXPECT_EQ(a.accesses(), 40u);
-  EXPECT_DOUBLE_EQ(a.NsPerAccess(Stage::kCache), 10.0);
-  // Unattributed remainder: 600 total - 450 attributed.
-  EXPECT_EQ(a.OtherNs(), 150u);
-  const std::string report = a.Report();
-  EXPECT_NE(report.find("cache"), std::string::npos);
-  EXPECT_NE(report.find("other"), std::string::npos);
-}
-
 // ---------------------------------------------- Simulation integration --
 
 struct TelemetryCapture {
@@ -299,7 +276,6 @@ TEST(ObsDeterminism, TelemetryDoesNotPerturbTheSimulation) {
   const auto run = [](bool with_telemetry) {
     MetricRegistry metrics;
     TraceEmitter trace;
-    StageProfiler stages;
     auto workload = MakeWorkload("zipf", 0.25, 17);
     auto policy = MakePolicy("HybridTier");
     SimulationConfig config;
@@ -308,7 +284,6 @@ TEST(ObsDeterminism, TelemetryDoesNotPerturbTheSimulation) {
     if (with_telemetry) {
       config.telemetry.metrics = &metrics;
       config.telemetry.trace = &trace;
-      config.telemetry.stages = &stages;
     }
     return RunSimulation(config, workload.get(), policy.get());
   };
@@ -646,7 +621,7 @@ TEST(DecisionAuditTest, PerReasonCountersSplitPromotionsAndDemotions) {
   EXPECT_EQ(audit.quota_truncated_pages(), 9u);
   EXPECT_EQ(audit.cooling_epochs(), 1u);
   EXPECT_EQ(audit.endpoint_reorders(), 1u);
-  EXPECT_EQ(audit.batches(MigrationReason::kUnspecified), 0u);
+  EXPECT_EQ(audit.batches(MigrationReason::kHintFault), 0u);
   const std::string report = audit.Report();
   EXPECT_NE(report.find("hotness_rank"), std::string::npos);
   EXPECT_NE(report.find("quota_fill"), std::string::npos);
@@ -669,8 +644,6 @@ TEST(DecisionAuditIntegration, EveryEngineBatchCarriesAReason) {
       RunSimulation(config, workload.get(), &policy);
 
   ASSERT_GT(audit.total_batches(), 0u);
-  // No call site falls through to the legacy no-reason path.
-  EXPECT_EQ(audit.batches(MigrationReason::kUnspecified), 0u);
   EXPECT_GT(audit.batches(MigrationReason::kHotnessRank), 0u);
   // Per-reason page counters partition the engine's own statistics.
   uint64_t promoted = 0;
@@ -683,13 +656,46 @@ TEST(DecisionAuditIntegration, EveryEngineBatchCarriesAReason) {
   EXPECT_EQ(promoted, result.migration.promoted_pages);
   EXPECT_EQ(demoted, result.migration.demoted_pages);
   EXPECT_GT(audit.cooling_epochs(), 0u);
+
+  // Every standard policy stamps its own batches: the per-reason page
+  // sums equal the engine's totals, and the hint-fault baselines
+  // promote under their own reason.
+  for (const std::string& name : StandardPolicyNames()) {
+    DecisionAudit policy_audit;
+    auto policy_workload = MakeWorkload("zipf", 0.1, 23);
+    auto standard = MakePolicy(name);
+    SimulationConfig policy_run;
+    policy_run.max_accesses = 400000;
+    policy_run.seed = 23;
+    policy_run.allocation = AllocationPolicyFor(name);
+    policy_run.telemetry.audit = &policy_audit;
+    const SimulationResult policy_result =
+        RunSimulation(policy_run, policy_workload.get(), standard.get());
+    ASSERT_GT(policy_audit.total_batches(), 0u) << name;
+    uint64_t policy_promoted = 0;
+    uint64_t policy_demoted = 0;
+    for (uint32_t r = 0;
+         r < static_cast<uint32_t>(MigrationReason::kCount); ++r) {
+      const auto reason = static_cast<MigrationReason>(r);
+      policy_promoted += policy_audit.promoted_pages(reason);
+      policy_demoted += policy_audit.demoted_pages(reason);
+    }
+    EXPECT_EQ(policy_promoted, policy_result.migration.promoted_pages)
+        << name;
+    EXPECT_EQ(policy_demoted, policy_result.migration.demoted_pages)
+        << name;
+    if (name == "TPP" || name == "AutoNUMA") {
+      EXPECT_GT(policy_audit.promoted_pages(MigrationReason::kHintFault),
+                0u)
+          << name;
+    }
+  }
 }
 
 TEST(ObsDeterminism, DiagnosisSinksDoNotPerturbTheSimulation) {
   const auto run = [](bool with_diagnosis) {
     LatencyAttribution attr;
     DecisionAudit audit;
-    StageProfiler stages;
     auto workload = MakeWorkload("zipf", 0.25, 31);
     auto policy = MakePolicy("HybridTier");
     SimulationConfig config;
@@ -698,7 +704,6 @@ TEST(ObsDeterminism, DiagnosisSinksDoNotPerturbTheSimulation) {
     if (with_diagnosis) {
       config.telemetry.attribution = &attr;
       config.telemetry.audit = &audit;
-      config.telemetry.stages = &stages;
     }
     return RunSimulation(config, workload.get(), policy.get());
   };
@@ -714,43 +719,44 @@ TEST(ObsDeterminism, DiagnosisSinksDoNotPerturbTheSimulation) {
             diagnosed.migration.demoted_pages);
 }
 
-// ------------------------------------------- Virtual-time StageProfiler --
+// ------------------------------------------- Attribution over a whole run --
 
-TEST(StageProfilerVirtual, BucketsPartitionTheSimulatedDuration) {
-  // Every op is profiled and the buckets hold simulated ns, so they
-  // must reconstruct the modeled duration exactly: no clock reads, no
-  // sampling noise, no remainder.
-  StageProfiler stages;
+TEST(AttributionVirtual, BucketsPartitionTheSimulatedDuration) {
+  // Every op is attributed in simulated ns, so the components must
+  // reconstruct the modeled duration exactly: no clock reads, no
+  // sampling noise, no remainder. This zipf cell has no think time, so
+  // the summed op latency is the whole duration.
+  LatencyAttribution attr;
   auto workload = MakeWorkload("zipf", 0.1, 37);
   auto policy = MakePolicy("HybridTier");
   SimulationConfig config;
   config.max_accesses = 200000;
   config.seed = 37;
-  config.telemetry.stages = &stages;
+  config.telemetry.attribution = &attr;
   const SimulationResult result =
       RunSimulation(config, workload.get(), policy.get());
 
-  ASSERT_GT(stages.ops(), 0u);
-  EXPECT_EQ(stages.ops(), result.ops);
-  EXPECT_EQ(stages.op_ns(), result.duration_ns);
-  EXPECT_EQ(stages.OtherNs(), 0u);
-  EXPECT_GT(stages.totals(Stage::kCache).ns, 0u);
+  ASSERT_GT(attr.ops(), 0u);
+  EXPECT_EQ(attr.ops(), result.ops);
+  EXPECT_EQ(attr.op_latency_ns(), result.duration_ns);
+  EXPECT_EQ(attr.ComponentSumNs(), attr.op_latency_ns());
+  EXPECT_GT(attr.component_ns(LatencyComponent::kFastIdle), 0u);
 }
 
-TEST(StageProfilerVirtual, DeterministicAcrossRuns) {
+TEST(AttributionVirtual, DeterministicAcrossRuns) {
   const auto run = [] {
-    StageProfiler stages;
+    LatencyAttribution attr;
     auto workload = MakeWorkload("zipf", 0.1, 41);
     auto policy = MakePolicy("HybridTier");
     SimulationConfig config;
     config.max_accesses = 200000;
     config.seed = 41;
-    config.telemetry.stages = &stages;
+    config.telemetry.attribution = &attr;
     RunSimulation(config, workload.get(), policy.get());
-    return stages.Report();
+    return attr.Report();
   };
   const std::string first = run();
-  EXPECT_NE(first.find("cache"), std::string::npos);
+  EXPECT_NE(first.find("fast_idle"), std::string::npos);
   EXPECT_EQ(first, run());
 }
 
@@ -842,7 +848,7 @@ TEST(ObsIntegration, FleetTopologyCellRegistersTheDiagnosisCatalog) {
         "audit/dropped_records"}) {
     EXPECT_TRUE(has(name)) << name;
   }
-  for (uint32_t r = 1; r < static_cast<uint32_t>(MigrationReason::kCount);
+  for (uint32_t r = 0; r < static_cast<uint32_t>(MigrationReason::kCount);
        ++r) {
     const std::string prefix =
         std::string("audit/reason/") +

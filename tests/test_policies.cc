@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/policies: aging, LRU list, Memtis, AutoNUMA, TPP,
- * ARC, TwoQ, static policies.
+ * Unit tests for src/policies: aging, LRU list, Memtis, the hint-fault
+ * baselines (AutoNUMA, TPP), ARC, TwoQ, static policies.
  */
 
 #include <gtest/gtest.h>
@@ -10,17 +10,17 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "core/policy_factory.h"
 #include "mem/migration.h"
 #include "mem/perf_model.h"
 #include "mem/tiered_memory.h"
 #include "policies/aging.h"
 #include "policies/arc.h"
-#include "policies/autonuma.h"
+#include "policies/hint_fault.h"
 #include "policies/lru_list.h"
 #include "policies/memtis.h"
 #include "policies/policy.h"
 #include "policies/static_policy.h"
-#include "policies/tpp.h"
 #include "policies/twoq.h"
 
 namespace hybridtier {
@@ -226,9 +226,9 @@ TEST(Memtis, MetadataIs16BytesPerPage) {
 
 TEST(AutoNuma, PromotesOnFastHintFault) {
   PolicyHarness harness(100, 10);
-  AutoNumaConfig config;
-  config.promotion_latency_ns = kMillisecond;
-  AutoNumaPolicy policy(config);
+  HintFaultConfig config = HintFaultConfig::AutoNuma();
+  config.window_ns = kMillisecond;
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);
   // Make room in the fast tier (it filled up at first touch).
@@ -246,9 +246,9 @@ TEST(AutoNuma, PromotesOnFastHintFault) {
 
 TEST(AutoNuma, IgnoresSlowFaults) {
   PolicyHarness harness(100, 10);
-  AutoNumaConfig config;
-  config.promotion_latency_ns = kMillisecond;
-  AutoNumaPolicy policy(config);
+  HintFaultConfig config = HintFaultConfig::AutoNuma();
+  config.window_ns = kMillisecond;
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);
 
@@ -262,9 +262,9 @@ TEST(AutoNuma, IgnoresSlowFaults) {
 
 TEST(AutoNuma, TickProtectsChunks) {
   PolicyHarness harness(100, 100);
-  AutoNumaConfig config;
+  HintFaultConfig config = HintFaultConfig::AutoNuma();
   config.scan_chunk_units = 10;
-  AutoNumaPolicy policy(config);
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);
   policy.Tick(0);
@@ -277,10 +277,10 @@ TEST(AutoNuma, TickProtectsChunks) {
 
 TEST(AutoNuma, DemotesAgedPagesUnderPressure) {
   PolicyHarness harness(100, 50);
-  AutoNumaConfig config;
+  HintFaultConfig config = HintFaultConfig::AutoNuma();
   config.demote_trigger_frac = 0.1;
   config.demote_target_frac = 0.2;
-  AutoNumaPolicy policy(config);
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);  // Fast full (50 pages).
   // Two ticks age every page (no accesses in between).
@@ -293,9 +293,9 @@ TEST(AutoNuma, DemotesAgedPagesUnderPressure) {
 
 TEST(Tpp, SecondFaultWithinWindowPromotes) {
   PolicyHarness harness(100, 10);
-  TppConfig config;
-  config.active_window_ns = kSecond;
-  TppPolicy policy(config);
+  HintFaultConfig config = HintFaultConfig::Tpp();
+  config.window_ns = kSecond;
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);
   // Make room in the fast tier (it filled up at first touch).
@@ -317,9 +317,9 @@ TEST(Tpp, SecondFaultWithinWindowPromotes) {
 
 TEST(Tpp, SecondFaultOutsideWindowDoesNot) {
   PolicyHarness harness(100, 10);
-  TppConfig config;
-  config.active_window_ns = kMillisecond;
-  TppPolicy policy(config);
+  HintFaultConfig config = HintFaultConfig::Tpp();
+  config.window_ns = kMillisecond;
+  HintFaultPolicy policy(config);
   harness.Bind(&policy);
   harness.TouchAll(100);
 
@@ -331,6 +331,21 @@ TEST(Tpp, SecondFaultOutsideWindowDoesNot) {
   policy.OnAccess(50, touch, 10 * kMillisecond);
   EXPECT_EQ(policy.fault_promotions(), 0u);
   EXPECT_EQ(harness.memory().TierOf(50), Tier::kSlow);
+}
+
+TEST(HintFault, PresetsKeepTheirNamesAndMetadataBytes) {
+  // Accessed-bit + age bytes (2 B/unit), plus TPP's 8 B last-fault time
+  // or AutoNUMA's 4 B scan state per unit. bfs-tpp's metadata_kib
+  // reads this.
+  PolicyHarness harness(4096, 512);
+  auto tpp = MakePolicy("TPP");
+  auto autonuma = MakePolicy("AutoNUMA");
+  harness.Bind(tpp.get());
+  harness.Bind(autonuma.get());
+  EXPECT_STREQ(tpp->name(), "TPP");
+  EXPECT_STREQ(autonuma->name(), "AutoNUMA");
+  EXPECT_EQ(tpp->MetadataBytes(), 40960u);
+  EXPECT_EQ(autonuma->MetadataBytes(), 24576u);
 }
 
 // ---------------------------------------------------------------- ARC --

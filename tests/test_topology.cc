@@ -191,12 +191,15 @@ TEST(PerfModelTopology, MigrationTrafficDelaysDemandAccesses) {
 }
 
 TEST(PerfModelTopology, MigrationCostSplitMatchesLegacySingleEndpoint) {
+  // The three-argument (two-tier) model and a one-endpoint topology
+  // charge a batch the same, and both match the cost the two-tier model
+  // has always reported for it.
   PerfModelConfig config;
   PerfModel legacy(config, DefaultFastTier(1000), DefaultSlowTier(10000));
   PerfModel split = MakeTopoPerf("cxl:(1)");
   const uint64_t pages[] = {64};
-  EXPECT_EQ(split.MigrationCostSplit(pages, kPageSize, 0),
-            legacy.MigrationCost(64, kPageSize, 0));
+  EXPECT_EQ(split.MigrationCostSplit(pages, kPageSize, 0), 88510u);
+  EXPECT_EQ(legacy.MigrationCostSplit(pages, kPageSize, 0), 88510u);
 }
 
 TEST(PerfModelTopology, MigrationCostSplitEndsAtSlowestLeg) {
@@ -231,20 +234,20 @@ TEST(PerfModelTopology, BoundedQueueShedsRunawayBacklog) {
   // queues — the saturation never ends.
   PerfModel unbounded(config, DefaultFastTier(1000),
                       DefaultSlowTier(10000));
-  for (int i = 0; i < 100000; ++i) unbounded.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_GT(unbounded.MemoryAccess(Tier::kSlow, 1000000), 124u);
+  for (int i = 0; i < 100000; ++i) unbounded.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_GT(unbounded.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
 
   // Bounded queue: the same burst's horizon is clamped at the cap, so
   // by now + cap + one service time the channel has fully drained.
   config.bounded_queue = true;
   PerfModel bounded(config, DefaultFastTier(1000), DefaultSlowTier(10000));
-  for (int i = 0; i < 100000; ++i) bounded.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_EQ(bounded.MemoryAccess(Tier::kSlow, 1000000), 124u);
+  for (int i = 0; i < 100000; ++i) bounded.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_EQ(bounded.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
   // And the cap still applies while saturated.
   PerfModel saturated(config, DefaultFastTier(1000),
                       DefaultSlowTier(10000));
-  for (int i = 0; i < 1000; ++i) saturated.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_LE(saturated.MemoryAccess(Tier::kSlow, 0), 124u + 500u);
+  for (int i = 0; i < 1000; ++i) saturated.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_LE(saturated.MemoryAccess(Tier::kSlow, 0, 0), 124u + 500u);
 }
 
 // ------------------------------------------ endpoint residency tracking --
