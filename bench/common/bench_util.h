@@ -10,8 +10,7 @@
  * series the paper reports, and writes a CSV next to the binary.
  *
  * The scaled defaults here (access budget, cooling periods, churn
- * timing) are the time-compressed equivalents of the paper's setup; the
- * mapping is documented in EXPERIMENTS.md.
+ * timing) are the time-compressed equivalents of the paper's setup.
  */
 
 #include <string>

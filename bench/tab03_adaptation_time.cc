@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   table.SetTitle(
       "Table 3: post-churn settle time and steady-state median latency.\n"
       "Note: our reimplemented Memtis re-converges faster than the "
-      "paper's kernel module (see EXPERIMENTS.md), so the reproducible "
-      "signal at simulation scale is the steady-state gap.");
+      "paper's kernel module, so the reproducible signal at simulation "
+      "scale is the steady-state gap.");
   std::vector<double> advantages;
   const std::vector<std::string> workloads = {"cdn", "social"};
   for (size_t w = 0; w < workloads.size(); ++w) {

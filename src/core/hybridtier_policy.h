@@ -101,6 +101,10 @@ class HybridTierPolicy : public TieringPolicy {
   uint32_t HotnessOf(PageId unit) const override {
     return freq_->Get(unit);
   }
+  void HotnessOfBatch(std::span<const PageId> units,
+                      std::span<uint32_t> out) const override {
+    freq_->GetBatch(units, out);
+  }
 
   /** Current histogram-derived frequency threshold. */
   uint32_t freq_threshold() const { return freq_threshold_; }

@@ -19,9 +19,9 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
   endpoint_pages_.assign(memory_->endpoint_count(), 0);
   uint64_t moved = 0;
   for (const PageId page : pages) {
+    const uint32_t home = memory_->EndpointOf(page);
     if (any_down_ && dst == Tier::kSlow) [[unlikely]] {
       // Can't demote onto a dead device: the page's HDM home is fixed.
-      const uint32_t home = memory_->EndpointOf(page);
       if (home < endpoint_down_.size() && endpoint_down_[home]) {
         ++stats_.failed_demotions;
         continue;
@@ -30,7 +30,7 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
     const bool ok = memory_->IsResident(page) && memory_->Migrate(page, dst);
     if (ok) {
       ++moved;
-      ++endpoint_pages_[memory_->EndpointOf(page)];
+      ++endpoint_pages_[home];
       if (audit_ != nullptr) [[unlikely]] {
         if (dst == Tier::kFast) {
           audit_->OnPromoted(page, now);

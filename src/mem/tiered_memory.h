@@ -279,6 +279,50 @@ class TieredMemory {
   friend class TieredMemoryTestPeer;
 };
 
+/**
+ * HDM decode over an ascending run of pages: the home endpoint of each
+ * page, found by stepping the interleave stripe counter as the pages
+ * ascend instead of dividing per page. A ranking pass over a tenant's
+ * fast-resident units (ScanResident order) decodes every unit this way.
+ * Returns exactly TieredMemory::EndpointOf for every page it is given.
+ */
+class HomeEndpointCursor {
+ public:
+  explicit HomeEndpointCursor(const TieredMemory& memory)
+      : interleave_(memory.interleave_units()),
+        rotation_(memory.interleave_units() * memory.endpoint_count()),
+        count_(memory.endpoint_count()),
+        endpoint_(memory.endpoint_count() - 1) {}
+
+  /** Home endpoint of `page`; pages must come in ascending order. */
+  uint32_t HomeOf(PageId page) {
+    if (page >= stripe_end_) Seek(page);
+    return endpoint_;
+  }
+
+ private:
+  void Seek(PageId page) {
+    if (page - stripe_end_ < rotation_) {
+      // Within one rotation of the current stripe: at most count_ steps.
+      do {
+        stripe_end_ += interleave_;
+        if (++endpoint_ == count_) endpoint_ = 0;
+      } while (page >= stripe_end_);
+    } else {
+      const uint64_t stripe = page / interleave_;
+      endpoint_ = static_cast<uint32_t>(stripe % count_);
+      stripe_end_ = (stripe + 1) * interleave_;
+    }
+  }
+
+  uint64_t interleave_;
+  uint64_t rotation_;    //!< Pages per full pass over the endpoints.
+  uint32_t count_;
+  // The stripe just before page 0, so the first step lands on stripe 0.
+  uint32_t endpoint_;
+  PageId stripe_end_ = 0;  //!< First page past the current stripe.
+};
+
 }  // namespace hybridtier
 
 #endif  // HYBRIDTIER_MEM_TIERED_MEMORY_H_

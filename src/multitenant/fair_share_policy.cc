@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "multitenant/quota_controller.h"
+#include "multitenant/victim_select.h"
 
 namespace hybridtier {
 
@@ -723,6 +724,45 @@ uint64_t FairSharePolicy::EndpointCost(uint32_t endpoint, TimeNs now) const {
          static_cast<uint64_t>(context().perf->EndpointBacklog(endpoint, now));
 }
 
+void FairSharePolicy::RankVictims(TimeNs now) {
+  if (endpoint_aware_active_) {
+    // The cost depends only on the home endpoint: read it once per
+    // endpoint for the whole pass.
+    endpoint_cost_.resize(memory().endpoint_count());
+    for (uint32_t e = 0; e < endpoint_cost_.size(); ++e) {
+      endpoint_cost_[e] = std::min<uint64_t>(EndpointCost(e, now), 0xffff);
+    }
+  }
+  // Endpoint-aware: hotness stays the primary key (demoting a strictly
+  // hotter unit to spare a colder one always loses more hits than any
+  // endpoint gap saves), with the cost of the endpoint the unit would
+  // land on (idle latency + backlog) as the tie-breaker — among
+  // equally-hot units, the one bound for a cheap device leaves first and
+  // the one bound for a congested or distant one is the last out of the
+  // fast tier. Hotness is bucketed coarsely, so ties are the common case
+  // and the steering bite is real. Blind mode keeps the exact legacy
+  // hotness key. Hotness is read a chunk at a time through the base
+  // policy's batched read, and the victims ascend, so their home
+  // endpoints come from a stepped stripe cursor rather than a division.
+  constexpr size_t kChunk = 256;
+  uint32_t hotness[kChunk];
+  HomeEndpointCursor home(memory());
+  const std::span<const PageId> victims(victims_);
+  victim_keys_.resize(victims.size());
+  for (size_t start = 0; start < victims.size(); start += kChunk) {
+    const size_t len = std::min(kChunk, victims.size() - start);
+    base_->HotnessOfBatch(victims.subspan(start, len),
+                          std::span<uint32_t>(hotness, len));
+    for (size_t j = 0; j < len; ++j) {
+      const uint64_t h = hotness[j];
+      victim_keys_[start + j] =
+          endpoint_aware_active_
+              ? (h << 16) + endpoint_cost_[home.HomeOf(victims[start + j])]
+              : h;
+    }
+  }
+}
+
 void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
                                      TimeNs now, MigrationReason reason) {
   const uint64_t before = fast_units(t);
@@ -749,44 +789,8 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
     // address order would evict the hot pages whenever they sit at the
     // scanned end — the base policy promotes them right back, and the
     // swap repeats every enforcement pass (rotation churn).
-    if (endpoint_aware_active_) {
-      // The cost depends only on the home endpoint: read it once per
-      // endpoint for the whole pass.
-      endpoint_cost_.resize(memory().endpoint_count());
-      for (uint32_t e = 0; e < endpoint_cost_.size(); ++e) {
-        endpoint_cost_[e] = std::min<uint64_t>(EndpointCost(e, now), 0xffff);
-      }
-    }
-    victim_rank_.clear();
-    victim_rank_.reserve(victims_.size());
-    for (const PageId unit : victims_) {
-      const uint64_t hotness = base_->HotnessOf(unit);
-      // Endpoint-aware: hotness stays the primary key (demoting a
-      // strictly hotter unit to spare a colder one always loses more
-      // hits than any endpoint gap saves), with the cost of the
-      // endpoint the unit would land on (idle latency + backlog) as
-      // the tie-breaker — among equally-hot units, the one bound for a
-      // cheap device leaves first and the one bound for a congested or
-      // distant one is the last out of the fast tier. Hotness is
-      // bucketed coarsely, so ties are the common case and the
-      // steering bite is real. Blind mode keeps the exact legacy
-      // hotness key.
-      victim_rank_.emplace_back(
-          endpoint_aware_active_
-              ? (hotness << 16) + endpoint_cost_[memory().EndpointOf(unit)]
-              : hotness,
-          unit);
-    }
-    // Only the coldest `take` need ordering; the rest stay resident.
-    // Select them in O(n), then sort just those: (key, unit) pairs are
-    // unique, so this is exactly the order a partial sort would give.
-    const auto cut = victim_rank_.begin() + static_cast<ptrdiff_t>(take);
-    std::nth_element(victim_rank_.begin(), cut, victim_rank_.end());
-    std::sort(victim_rank_.begin(), cut);
-    victims_.clear();
-    for (uint64_t i = 0; i < take; ++i) {
-      victims_.push_back(victim_rank_[i].second);
-    }
+    RankVictims(now);
+    SelectColdest(victims_, victim_keys_, take, &colder_);
   }
   migration().Demote(std::span<const PageId>(victims_).first(take), now,
                      reason);

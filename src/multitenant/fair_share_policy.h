@@ -203,6 +203,10 @@ class FairSharePolicy : public TieringPolicy,
   uint32_t HotnessOf(PageId unit) const override {
     return base_->HotnessOf(unit);
   }
+  void HotnessOfBatch(std::span<const PageId> units,
+                      std::span<uint32_t> out) const override {
+    base_->HotnessOfBatch(units, out);
+  }
 
   // TenantQuotaStatsSource:
   bool GetTenantQuotaStats(uint32_t tenant,
@@ -416,9 +420,15 @@ class FairSharePolicy : public TieringPolicy,
   /** EndpointCostOf for every unit homed on `endpoint` (awareness on). */
   uint64_t EndpointCost(uint32_t endpoint, TimeNs now) const;
 
+  /** Fills victim_keys_ with the ranking key of every victims_ entry
+   *  (victims_ ascending): batched hotness reads, stepped home
+   *  endpoints. */
+  void RankVictims(TimeNs now);
+
   /** Demotes tenant `t` down to `target` fast units (one batch),
-   *  stamped with `reason` (enforcement vs. rotation). The coldest
-   *  units are selected in O(n), then only those are sorted. */
+   *  stamped with `reason` (enforcement vs. rotation). One O(n) pass:
+   *  the coldest units are picked by threshold selection
+   *  (SelectColdest), with no sort of the common tie class. */
   void DemoteToTarget(uint32_t t, uint64_t target, TimeNs now,
                       MigrationReason reason);
 
@@ -510,10 +520,12 @@ class FairSharePolicy : public TieringPolicy,
   /** Slow-resident units admitted per tenant within one batch. */
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
-  /** (score, unit) pairs for cheapest-first victim ordering: the score
-   *  is the hotness estimate, with the home-endpoint cost packed into
-   *  the low bits as a tie-breaker in endpoint-aware mode. */
-  std::vector<std::pair<uint64_t, PageId>> victim_rank_;
+  /** Ranking key of each victims_ entry for coldest-first ordering:
+   *  the hotness estimate, with the home-endpoint cost packed into the
+   *  low bits as a tie-breaker in endpoint-aware mode. */
+  std::vector<uint64_t> victim_keys_;
+  /** SelectColdest scratch: the victims below the cut key. */
+  std::vector<std::pair<uint64_t, PageId>> colder_;
   /** Per-endpoint tie-break cost for one ranking pass (endpoint-aware
    *  mode): EndpointCost is read once per endpoint, not once per unit. */
   std::vector<uint64_t> endpoint_cost_;

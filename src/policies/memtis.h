@@ -67,6 +67,10 @@ class MemtisPolicy : public TieringPolicy {
   uint32_t HotnessOf(PageId unit) const override {
     return counters_->Get(unit);
   }
+  void HotnessOfBatch(std::span<const PageId> units,
+                      std::span<uint32_t> out) const override {
+    counters_->GetBatch(units, out);
+  }
 
   /** Current histogram-derived hotness threshold. */
   uint32_t hot_threshold() const { return hot_threshold_; }

@@ -216,6 +216,18 @@ class TieringPolicy {
     return 0;
   }
 
+  /**
+   * Batched HotnessOf: `out[i] = HotnessOf(units[i])`, with `out` at
+   * least as long as `units`. A ranking pass reads many units at once;
+   * policies whose estimate lives in a FrequencyEstimator override this
+   * with the estimator's batched read. The default loops over
+   * HotnessOf, so an override of HotnessOf alone stays consistent.
+   */
+  virtual void HotnessOfBatch(std::span<const PageId> units,
+                              std::span<uint32_t> out) const {
+    for (size_t i = 0; i < units.size(); ++i) out[i] = HotnessOf(units[i]);
+  }
+
   /** Current metadata footprint in bytes (paper Table 4 metric). */
   virtual size_t MetadataBytes() const = 0;
 

@@ -34,6 +34,13 @@ class BlockedCountingBloomFilter : public FrequencyEstimator {
                                       uint64_t seed = 1);
 
   uint32_t Get(uint64_t key) const override;
+  /** Keys GetBatch locates (and prefetches) before reading any. */
+  static constexpr size_t kBatchChunk = 16;
+
+  /** Locates a chunk of keys and prefetches their blocks before reading
+   *  any, so the chunk's block loads overlap. */
+  void GetBatch(std::span<const uint64_t> keys,
+                std::span<uint32_t> out) const override;
   uint32_t Increment(uint64_t key) override;
   uint32_t IncrementWithOld(uint64_t key, uint32_t* old_count) override;
   void CoolByHalving() override;
@@ -57,9 +64,13 @@ class BlockedCountingBloomFilter : public FrequencyEstimator {
   /** Fills block index and the k in-block slot indices for `key`. */
   void Locate(uint64_t key, uint64_t* block_out, uint32_t* slots_out) const;
 
+  /** The estimate at a located key: min over its slots in `block`. */
+  uint32_t MinAt(uint64_t block, const uint32_t* slots) const;
+
   PackedCounterArray counters_;
   size_t num_blocks_;
   uint32_t slots_per_block_;
+  uint32_t slot_shift_;  //!< 64 - log2(slots_per_block_).
   uint32_t num_hashes_;
   uint64_t seed_;
 };

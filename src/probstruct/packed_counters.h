@@ -46,6 +46,11 @@ class PackedCounterArray {
     word |= static_cast<uint64_t>(value) << shift;
   }
 
+  /** Starts loading the word that holds counter `i` into the cache. */
+  void Prefetch(size_t i) const {
+    __builtin_prefetch(words_.data() + (i >> word_shift_));
+  }
+
   /** Increments counter `i`, saturating at max_value(); returns new value. */
   uint32_t SaturatingIncrement(size_t i);
 

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "core/policy_factory.h"
+#include "common/units.h"
 #include "core/simulation.h"
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/mux_workload.h"
@@ -336,6 +337,60 @@ TEST(Determinism, FairShareReproducesGolden) {
     EXPECT_EQ(r.tenants[t].ops, kTenants[t].ops);
     EXPECT_EQ(r.tenants[t].fast_resident_units,
               kTenants[t].fast_resident_units);
+  }
+}
+
+// Endpoint-aware failover golden: a shortened copy of fig_failover's
+// graceful cell (three interleaved expanders, ep2 lost mid-run, paced
+// evacuation on). It is the one golden that runs FairShare's
+// endpoint-aware victim ranking — the hotness-then-endpoint-cost key
+// over every fast-resident unit — and the failed demotions onto the
+// downed device that ranking keeps picking.
+TEST(Determinism, EndpointAwareFailoverReproducesGolden) {
+  auto mux = MakeMuxWorkload(ParseTenantList("zipf,zipf:2,zipf"), 42);
+  FairShareConfig fair_config;
+  fair_config.endpoint_aware = true;
+  auto fair = std::make_unique<FairSharePolicy>(
+      MakePolicy("HybridTier"), mux->directory(), fair_config);
+  SimulationConfig config;
+  config.fast_tier_fraction = 0.4;
+  config.max_accesses = UINT64_MAX;
+  config.max_time_ns = 16 * kMillisecond;
+  config.warmup_accesses = 200000;
+  config.seed = 42;
+  config.topology = "cxl:(1,2,3),lat=124:180:180,bw=34:17:17";
+  config.perf.bounded_queue = true;
+  config.faults = "faults:ep2@8ms=down";
+  config.fault_runtime.evacuate = true;
+  config.fault_runtime.evac_batch = 4096;
+  config.fault_runtime.spill_batch = 4096;
+  const SimulationResult r = RunSimulation(config, mux.get(), fair.get());
+  EXPECT_EQ(r.ops, 8659u);
+  EXPECT_EQ(r.accesses, 34636u);
+  EXPECT_EQ(r.duration_ns, 16428221u);
+  EXPECT_EQ(r.fast_mem_accesses, 14429u);
+  EXPECT_EQ(r.slow_mem_accesses, 17655u);
+  EXPECT_EQ(r.migration.promoted_pages, 35810u);
+  EXPECT_EQ(r.migration.demoted_pages, 39176u);
+  EXPECT_EQ(r.migration.failed_promotions, 0u);
+  EXPECT_EQ(r.migration.failed_demotions, 33055u);
+  EXPECT_EQ(r.fault.evacuated_pages, 35581u);
+  EXPECT_EQ(r.fault.spilled_pages, 0u);
+  EXPECT_EQ(r.fault.stalled_accesses, 256u);
+  EXPECT_EQ(r.samples_taken, 561u);
+  struct TenantGolden {
+    uint64_t ops, fast_resident_units, quota_units;
+  };
+  constexpr TenantGolden kTenants[] = {{2887u, 16437u, 11356u},
+                                       {2886u, 22712u, 22712u},
+                                       {2886u, 16467u, 11355u}};
+  ASSERT_EQ(r.tenants.size(), std::size(kTenants));
+  for (size_t t = 0; t < r.tenants.size(); ++t) {
+    SCOPED_TRACE(r.tenants[t].name);
+    EXPECT_EQ(r.tenants[t].ops, kTenants[t].ops);
+    EXPECT_EQ(r.tenants[t].fast_resident_units,
+              kTenants[t].fast_resident_units);
+    EXPECT_EQ(r.tenants[t].quota_units, kTenants[t].quota_units);
   }
 }
 

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
 #include "mem/migration.h"
@@ -20,6 +22,7 @@
 #include "multitenant/fleet.h"
 #include "multitenant/mux_workload.h"
 #include "multitenant/quota_controller.h"
+#include "multitenant/victim_select.h"
 #include "policies/policy.h"
 #include "workloads/factory.h"
 
@@ -416,6 +419,84 @@ TenantDirectory TwoTenantDirectoryWeighted(double weight_a,
 /** Two synthetic tenants (1024 pages each) with a 3:1 weight split. */
 TenantDirectory TwoTenantDirectory() {
   return TwoTenantDirectoryWeighted(3.0, 1.0);
+}
+
+// ---------------------------------------------- coldest-first selection --
+
+/** The selection by definition: fully sort (key, unit), take a prefix. */
+std::vector<PageId> ReferenceColdest(const std::vector<PageId>& units,
+                                     const std::vector<uint64_t>& keys,
+                                     uint64_t take) {
+  std::vector<std::pair<uint64_t, PageId>> pairs;
+  for (size_t i = 0; i < units.size(); ++i) {
+    pairs.emplace_back(keys[i], units[i]);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<PageId> out;
+  for (uint64_t i = 0; i < take; ++i) out.push_back(pairs[i].second);
+  return out;
+}
+
+TEST(SelectColdest, MatchesFullSortReference) {
+  // Keys are built the way the enforcement pass builds them: hotness,
+  // or (hotness << 16) + cost of the unit's home endpoint. The reference
+  // decodes homes with EndpointOf; the selection's keys come from the
+  // stepped cursor. Shapes: all keys equal; one large tie class plus a
+  // few colder (and hotter) units; spread hotness; arbitrary 64-bit keys
+  // with repeats (the radix select's widest case).
+  Rng rng(16);
+  std::vector<std::pair<uint64_t, PageId>> colder;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int shape = trial % 4;
+    const bool aware = (trial / 4) % 2 == 1;
+    const uint64_t stripe = (trial / 8) % 2 == 0 ? 1 : 2 + rng.NextBounded(6);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TieredMemory memory(1 << 16, 1024, 1 << 16,
+                              AllocationPolicy::kFastFirst, 3, stripe);
+    const uint64_t cost[3] = {124 + rng.NextBounded(4), 180,
+                              180 + rng.NextBounded(2) * 300};
+    const size_t n = 2 + rng.NextBounded(700);
+    std::vector<PageId> units;
+    PageId unit = rng.NextBounded(8);
+    for (size_t i = 0; i < n; ++i) {
+      units.push_back(unit);
+      unit += 1 + rng.NextBounded(rng.Bernoulli(0.1) ? 40 : 3);
+    }
+    const uint64_t pool[4] = {rng.NextU64(), rng.NextU64(), rng.NextU64(),
+                              rng.NextU64()};
+    std::vector<uint64_t> expected_keys(n);
+    std::vector<uint64_t> keys(n);
+    HomeEndpointCursor home(memory);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t hotness = 0;
+      if (shape == 1) {
+        hotness = rng.Bernoulli(0.05) ? rng.NextBounded(6) : 3;
+      } else if (shape == 2) {
+        hotness = rng.NextBounded(16);
+      }
+      if (shape == 3) {
+        expected_keys[i] = rng.Bernoulli(0.5) ? pool[rng.NextBounded(4)]
+                                              : rng.NextU64();
+        keys[i] = expected_keys[i];
+      } else if (aware) {
+        expected_keys[i] =
+            (hotness << 16) + cost[memory.EndpointOf(units[i])];
+        keys[i] = (hotness << 16) + cost[home.HomeOf(units[i])];
+      } else {
+        expected_keys[i] = hotness;
+        keys[i] = hotness;
+      }
+    }
+    for (const uint64_t take :
+         {uint64_t{1}, uint64_t{n - 1}, 1 + rng.NextBounded(n - 1)}) {
+      std::vector<PageId> selected = units;
+      SelectColdest(selected, keys, take, &colder);
+      selected.resize(take);
+      ASSERT_EQ(selected, ReferenceColdest(units, expected_keys, take))
+          << "shape " << shape << (aware ? " aware" : " blind")
+          << ", stripe " << stripe << ", n " << n << ", take " << take;
+    }
+  }
 }
 
 /** Minimal bound context around a FairSharePolicy for unit tests. */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -141,6 +142,32 @@ TEST(LruList, RemoveMiddle) {
 TEST(LruList, MoveMissingReturnsFalse) {
   LruList list;
   EXPECT_FALSE(list.MoveToMru(9));
+}
+
+// ------------------------------------------------------ batched hotness --
+
+TEST(HotnessOfBatch, MatchesPerUnitHotnessOf) {
+  // HybridTier (blocked CBF) and Memtis (exact table) override the batch
+  // read with their estimator's; TPP keeps the per-unit default.
+  for (const char* name : {"HybridTier", "Memtis", "TPP"}) {
+    SCOPED_TRACE(name);
+    PolicyHarness harness(4096, 512);
+    std::unique_ptr<TieringPolicy> policy = MakePolicy(name);
+    harness.Bind(policy.get());
+    harness.TouchAll(4096);
+    Rng rng(9);
+    for (int i = 0; i < 5000; ++i) {
+      const PageId page = rng.NextBounded(1 + rng.NextBounded(4096));
+      policy->OnSample(harness.Sample(page, i * 1000));
+    }
+    std::vector<PageId> units(700);
+    for (PageId& unit : units) unit = rng.NextBounded(4096);
+    std::vector<uint32_t> out(units.size());
+    policy->HotnessOfBatch(units, out);
+    for (size_t i = 0; i < units.size(); ++i) {
+      EXPECT_EQ(out[i], policy->HotnessOf(units[i])) << "unit " << units[i];
+    }
+  }
 }
 
 // ------------------------------------------------------------- Memtis --

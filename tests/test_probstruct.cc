@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -350,6 +352,51 @@ TEST(BlockedCbf, HigherErrorThanStandardButBounded) {
   }
   EXPECT_LE(standard_errors, blocked_errors + 5);
   EXPECT_LT(static_cast<double>(blocked_errors) / truth.size(), 0.02);
+}
+
+// ------------------------------------------------------- Batched Get --
+
+TEST(EstimatorBatch, GetBatchMatchesPerKeyGet) {
+  const CbfSizing sizing{.num_counters = 2048,
+                         .num_hashes = 4,
+                         .counter_bits = 4};
+  std::vector<std::unique_ptr<FrequencyEstimator>> estimators;
+  estimators.push_back(
+      std::make_unique<BlockedCountingBloomFilter>(sizing, 3));
+  estimators.push_back(std::make_unique<CountingBloomFilter>(sizing, 3));
+  estimators.push_back(std::make_unique<ExactCounterTable>(4096, 15));
+  // Around the blocked filter's locate-then-read chunk, and empty.
+  constexpr size_t kChunk = BlockedCountingBloomFilter::kBatchChunk;
+  const size_t sizes[] = {0, 1, kChunk - 1, kChunk + 1};
+  for (const auto& estimator : estimators) {
+    SCOPED_TRACE(estimator->name());
+    Rng rng(5);
+    uint64_t nonzero = 0;
+    auto check = [&](const char* stage) {
+      for (const size_t n : sizes) {
+        std::vector<uint64_t> keys(n);
+        for (uint64_t& key : keys) key = rng.NextBounded(512);
+        std::vector<uint32_t> out(n + 1, 0xdead);
+        estimator->GetBatch(keys, out);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], estimator->Get(keys[i]))
+              << stage << ", n=" << n << ", i=" << i;
+          nonzero += out[i] != 0;
+        }
+        EXPECT_EQ(out[n], 0xdeadu) << stage << ": wrote past the batch";
+      }
+    };
+    // Skewed increments so the estimates span the counter range.
+    for (int i = 0; i < 20000; ++i) {
+      estimator->Increment(rng.NextBounded(1 + rng.NextBounded(512)));
+    }
+    check("after increments");
+    EXPECT_GT(nonzero, 0u);
+    estimator->CoolByHalving();
+    check("after halving");
+    estimator->Reset();
+    check("after reset");
+  }
 }
 
 // --------------------------------------------------------- ExactTable --

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
@@ -135,6 +136,33 @@ TEST(Topology, EndpointOfInterleavesByGranularity) {
   EXPECT_EQ(topology.EndpointOf(12), 0u);  // Wraps around.
   // Single-endpoint layouts decode everything to endpoint 0.
   EXPECT_EQ(DefaultTopology().EndpointOf(12345), 0u);
+}
+
+TEST(Topology, HomeEndpointCursorMatchesEndpointOf) {
+  // Ascending runs with short gaps (the stepped path) and long jumps
+  // (the decoded path), over stripes of one unit and of several.
+  Rng rng(16);
+  for (const uint32_t endpoints : {1u, 2u, 3u, 5u}) {
+    for (const uint64_t stripe : {1ull, 4ull, 7ull}) {
+      SCOPED_TRACE(std::to_string(endpoints) + " endpoints, stripe " +
+                   std::to_string(stripe));
+      const TieredMemory memory(1 << 20, 1024, 1 << 20,
+                                AllocationPolicy::kFastFirst, endpoints,
+                                stripe);
+      HomeEndpointCursor cursor(memory);
+      PageId page = rng.NextBounded(3);
+      for (int i = 0; i < 4000 && page < (1 << 20); ++i) {
+        ASSERT_EQ(cursor.HomeOf(page), memory.EndpointOf(page))
+            << "page " << page;
+        // Repeats, in-stripe steps, few-stripe steps and far jumps.
+        const uint64_t kind = rng.NextBounded(4);
+        page += kind == 0   ? 0
+                : kind == 1 ? rng.NextBounded(stripe + 1)
+                : kind == 2 ? rng.NextBounded(stripe * endpoints * 2 + 1)
+                            : rng.NextBounded(1000);
+      }
+    }
+  }
 }
 
 // -------------------------------------------- per-endpoint perf model --
