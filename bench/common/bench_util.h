@@ -92,19 +92,6 @@ struct RunSpec {
 /** Executes one cell and returns its results. */
 SimulationResult RunCell(const RunSpec& spec);
 
-/**
- * Bench-default footprint scale per workload id, chosen so every
- * workload's footprint is far larger than the modeled LLC while full
- * sweeps stay within the access budget.
- */
-double DefaultScaleFor(const std::string& workload_id);
-
-/**
- * Post-warmup runtime in ns — the figure-of-merit for equal-access-count
- * runs (lower is better).
- */
-uint64_t SteadyDurationNs(const SimulationResult& result);
-
 /** Geometric mean of a vector (ignores non-positive entries). */
 double GeoMean(const std::vector<double>& values);
 

@@ -80,13 +80,11 @@ void PrintUsage() {
          "                    (ghost-MRC marginal utility, default) or\n"
          "                    density (sampled hit density)\n"
          "  --no-rebalance    fair-share: static weight quotas only\n"
-         "  --sampler-budget  per-tenant sample-period scaling so a\n"
-         "                    high-rate tenant cannot crowd the sample\n"
-         "                    stream (multi-tenant runs only; the\n"
-         "                    default since the Fig 4-style sweep\n"
-         "                    showed adaptation time is unhurt)\n"
-         "  --no-sampler-budget  revert to one global sample period\n"
-         "                    shared by all tenants\n"
+         "  --no-sampler-budget  one global sample period shared by\n"
+         "                    all tenants instead of the default\n"
+         "                    per-tenant sample-period scaling, which\n"
+         "                    keeps a high-rate tenant from crowding\n"
+         "                    the sample stream (multi-tenant runs)\n"
          "  --topology <spec> slow-tier device layout, e.g.\n"
          "                    'cxl:(1,(2,3)),lat=124:180:180,bw=\n"
          "                    34:17:17,link=20' (see src/mem/topology.h\n"
@@ -328,8 +326,6 @@ int main(int argc, char** argv) {
       endpoint_aware = true;
     } else if (arg == "--no-rebalance") {
       rebalance = false;
-    } else if (arg == "--sampler-budget") {
-      sampler_budget = true;
     } else if (arg == "--no-sampler-budget") {
       sampler_budget = false;
     } else if (arg == "--trace-out") {

@@ -87,11 +87,11 @@ class Workload {
 
   /**
    * True when NextOp ignores the `now` argument, i.e. the op stream is
-   * a pure function of the generator's own state and seed. Such a
-   * stream can be recorded once and replayed (see workloads/trace.h)
-   * with bit-identical simulation results. Workloads that schedule
-   * events in virtual time (tenant churn, CacheLib hot-set churn) must
-   * return false.
+   * a pure function of the generator's own state and seed, so a
+   * recording of it replays with bit-identical simulation results.
+   * Wrapping workloads forward it (perfbench's tracing wrapper does).
+   * Workloads that schedule events in virtual time (tenant churn,
+   * CacheLib hot-set churn) must return false.
    */
   virtual bool time_invariant() const { return false; }
 };

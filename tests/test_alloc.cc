@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workloads/factory.h"
-#include "workloads/trace.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -105,19 +104,6 @@ TEST(SteadyStateAllocation, GeneratorsAreAllocationFreeAfterWarmup) {
     EXPECT_EQ(AllocationCount() - before, 0u)
         << c.id << " allocated during steady-state op generation";
   }
-}
-
-TEST(SteadyStateAllocation, TraceReplayIsAllocationFree) {
-  auto workload = MakeWorkload("zipf", 0.25, 42);
-  auto trace =
-      std::make_shared<const RecordedTrace>(RecordTrace(*workload, 65536));
-  ReplayWorkload replay(trace);
-  OpTrace op;
-  Generate(replay, op, 64);  // Size the reused buffer.
-  replay.Rewind();
-  const uint64_t before = AllocationCount();
-  Generate(replay, op, 8192);
-  EXPECT_EQ(AllocationCount() - before, 0u);
 }
 
 TEST(SteadyStateAllocation, MetricHandlesAreAllocationFree) {

@@ -3,11 +3,13 @@
  * Determinism regression tests: the harness documents that same config +
  * seed produces identical results. These tests run the same cell twice
  * and require bit-identical headline metrics — single-tenant, huge-page,
- * and multi-tenant (per-tenant results included).
+ * and multi-tenant (per-tenant results included) — and hold fixed cells
+ * to golden results and to golden counts of the work tiering does.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 
@@ -16,8 +18,8 @@
 #include "core/simulation.h"
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/mux_workload.h"
+#include "obs/metrics.h"
 #include "workloads/factory.h"
-#include "workloads/trace.h"
 
 namespace hybridtier {
 namespace {
@@ -158,53 +160,6 @@ TEST(Determinism, ChurnTimelinesAreBitIdentical) {
   }
 }
 
-// ----------------------------------------------------------------------
-// Hot-path refactor gates: trace replay must be observably
-// indistinguishable from live generation, and the engine must still
-// reproduce the stats the pre-refactor simulator produced.
-
-void ExpectFullyIdentical(const SimulationResult& a,
-                          const SimulationResult& b) {
-  ExpectIdenticalHeadlines(a, b);
-  EXPECT_EQ(a.l1_app_misses, b.l1_app_misses);
-  EXPECT_EQ(a.l1_tiering_misses, b.l1_tiering_misses);
-  EXPECT_EQ(a.llc_app_misses, b.llc_app_misses);
-  EXPECT_EQ(a.llc_tiering_misses, b.llc_tiering_misses);
-  EXPECT_EQ(a.metadata_bytes, b.metadata_bytes);
-  EXPECT_EQ(a.samples_dropped, b.samples_dropped);
-  EXPECT_EQ(a.migration.promotion_batches, b.migration.promotion_batches);
-  EXPECT_EQ(a.migration.demotion_batches, b.migration.demotion_batches);
-  ExpectIdenticalTimelines(a.latency_timeline, b.latency_timeline);
-  ExpectIdenticalTimelines(a.tiering_llc_share_timeline,
-                           b.tiering_llc_share_timeline);
-  ExpectIdenticalTimelines(a.fast_used_timeline, b.fast_used_timeline);
-}
-
-TEST(Determinism, TraceReplayMatchesLiveGeneration) {
-  for (const char* workload_id : {"zipf", "bfs-k"}) {
-    SCOPED_TRACE(workload_id);
-    const double scale = std::string(workload_id) == "zipf" ? 0.25 : 1.0;
-    SimulationConfig config;
-    config.max_accesses = 300000;
-    config.seed = 29;
-
-    auto live_workload = MakeWorkload(workload_id, scale, 29);
-    auto live_policy = MakePolicy("HybridTier");
-    const SimulationResult live =
-        RunSimulation(config, live_workload.get(), live_policy.get());
-
-    auto recorded_workload = MakeWorkload(workload_id, scale, 29);
-    auto trace = std::make_shared<const RecordedTrace>(
-        RecordTrace(*recorded_workload, config.max_accesses));
-    ReplayWorkload replay(trace);
-    auto replay_policy = MakePolicy("HybridTier");
-    const SimulationResult replayed =
-        RunSimulation(config, &replay, replay_policy.get());
-
-    ExpectFullyIdentical(live, replayed);
-  }
-}
-
 // Pre-refactor goldens: integer stats captured from the seed simulator
 // (before the batched-execution / devirtualized-metadata / flat-state
 // refactor) on this matrix. The refactored engine must reproduce every
@@ -340,6 +295,121 @@ TEST(Determinism, FairShareReproducesGolden) {
   }
 }
 
+// ----------------------------------------------------------------------
+// Work goldens: the modeled work tiering costs on shortened copies of
+// perfbench's four cells — policy metadata touches and the cache misses
+// they cause, samples, migration batches, per-endpoint traffic, and the
+// per-tenant maintenance visits of the engine and FairShare. Every value
+// counts simulated events, so the gate is exact on any host: a policy
+// pass that scans its metadata twice fails here by name, where a
+// wall-clock floor would pass it.
+
+/** One counter of a work golden, read from the final metric snapshot. */
+struct WorkCount {
+  const char* metric;
+  uint64_t value;
+};
+
+void ExpectWork(const MetricRegistry& metrics,
+                std::initializer_list<WorkCount> golden) {
+  for (const WorkCount& count : golden) {
+    const std::vector<double>* series = metrics.Series(count.metric);
+    ASSERT_NE(series, nullptr) << count.metric;
+    ASSERT_FALSE(series->empty()) << count.metric;
+    EXPECT_EQ(static_cast<uint64_t>(series->back()), count.value)
+        << count.metric;
+  }
+}
+
+void ExpectFairShareWork(const FairSharePolicy& fair, uint64_t rebalance,
+                         uint64_t enforce, uint64_t fill,
+                         uint64_t churn_edges) {
+  EXPECT_EQ(fair.rebalance_tenant_visits(), rebalance);
+  EXPECT_EQ(fair.enforce_tenant_visits(), enforce);
+  EXPECT_EQ(fair.fill_tenant_visits(), fill);
+  EXPECT_EQ(fair.churn_edge_visits(), churn_edges);
+}
+
+/** Runs a single-workload cell the way perfbench builds it, shortened. */
+SimulationResult RunWorkCell(const std::string& workload_id, double scale,
+                             const std::string& policy_name,
+                             MetricRegistry* metrics) {
+  auto workload = MakeWorkload(workload_id, scale, 11);
+  auto policy = MakePolicy(policy_name);
+  SimulationConfig config = TestConfig();
+  config.max_accesses = 400000;
+  config.allocation = AllocationPolicyFor(policy_name);
+  config.telemetry.metrics = metrics;
+  return RunSimulation(config, workload.get(), policy.get());
+}
+
+TEST(Determinism, CdnHybridTierReproducesWorkGolden) {
+  MetricRegistry metrics;
+  const SimulationResult r = RunWorkCell(
+      "cdn", DefaultWorkloadScale("cdn"), "HybridTier", &metrics);
+  ExpectWork(metrics, {{"sim/accesses", 400000u},
+                       {"policy/metadata_touches", 42073u},
+                       {"cache/l1_tiering_misses", 18664u},
+                       {"cache/llc_tiering_misses", 9923u},
+                       {"sampler/samples_taken", 6564u},
+                       {"migration/promotion_batches", 3u},
+                       {"migration/promoted_pages", 3120u},
+                       {"migration/demotion_batches", 7u},
+                       {"migration/demoted_pages", 3387u},
+                       {"migration/failed_promotions", 178u},
+                       {"mem/endpoint0/accesses", 212724u}});
+  EXPECT_EQ(r.stats_tenant_visits, 0u);
+}
+
+TEST(Determinism, BfsTppReproducesWorkGolden) {
+  MetricRegistry metrics;
+  const SimulationResult r = RunWorkCell("bfs-k", 2.0, "TPP", &metrics);
+  ExpectWork(metrics, {{"sim/accesses", 400080u},
+                       {"policy/metadata_touches", 19954u},
+                       {"cache/l1_tiering_misses", 11280u},
+                       {"cache/llc_tiering_misses", 10921u},
+                       {"sampler/samples_taken", 6565u},
+                       {"migration/promotion_batches", 598u},
+                       {"migration/promoted_pages", 246u},
+                       {"migration/demotion_batches", 10u},
+                       {"migration/demoted_pages", 286u},
+                       {"migration/failed_promotions", 352u},
+                       {"mem/endpoint0/accesses", 198793u}});
+  EXPECT_EQ(r.stats_tenant_visits, 0u);
+}
+
+// perfbench's fleet-fair spec: 300 Poisson-churning tenants under
+// FairShare(HybridTier) with the budgeted sampler. The only golden that
+// runs the churn schedule, GhostMrc and marginal-utility rebalances at
+// fleet scale.
+TEST(Determinism, FleetFairShareReproducesWorkGolden) {
+  auto mux = MakeMuxWorkload(
+      ParseTenantList("fleet:300,zipf=0.9,fp=1024,fpskew=0.3,"
+                      "churn=poisson,duty=0.2,period=1e8,horizon=1e9,"
+                      "seed=7"),
+      11);
+  auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
+                                                mux->directory());
+  MetricRegistry metrics;
+  SimulationConfig config = TestConfig();
+  config.max_accesses = 1000000;
+  config.telemetry.metrics = &metrics;
+  const SimulationResult r = RunSimulation(config, mux.get(), fair.get());
+  ExpectWork(metrics, {{"sim/accesses", 1000000u},
+                       {"policy/metadata_touches", 824469u},
+                       {"cache/l1_tiering_misses", 185002u},
+                       {"cache/llc_tiering_misses", 171507u},
+                       {"sampler/samples_taken", 35041u},
+                       {"migration/promotion_batches", 439u},
+                       {"migration/promoted_pages", 681u},
+                       {"migration/demotion_batches", 898u},
+                       {"migration/demoted_pages", 190371u},
+                       {"migration/failed_promotions", 6u},
+                       {"mem/endpoint0/accesses", 73115u}});
+  EXPECT_EQ(r.stats_tenant_visits, 615u);
+  ExpectFairShareWork(*fair, 259u, 6311u, 6311u, 748u);
+}
+
 // Endpoint-aware failover golden: a shortened copy of fig_failover's
 // graceful cell (three interleaved expanders, ep2 lost mid-run, paced
 // evacuation on). It is the one golden that runs FairShare's
@@ -364,6 +434,8 @@ TEST(Determinism, EndpointAwareFailoverReproducesGolden) {
   config.fault_runtime.evacuate = true;
   config.fault_runtime.evac_batch = 4096;
   config.fault_runtime.spill_batch = 4096;
+  MetricRegistry metrics;
+  config.telemetry.metrics = &metrics;
   const SimulationResult r = RunSimulation(config, mux.get(), fair.get());
   EXPECT_EQ(r.ops, 8659u);
   EXPECT_EQ(r.accesses, 34636u);
@@ -392,6 +464,23 @@ TEST(Determinism, EndpointAwareFailoverReproducesGolden) {
               kTenants[t].fast_resident_units);
     EXPECT_EQ(r.tenants[t].quota_units, kTenants[t].quota_units);
   }
+  // Its work golden: the three endpoints' traffic, and the enforcement
+  // passes that keep ranking victims on the downed ep2.
+  ExpectWork(metrics, {{"sim/accesses", 34636u},
+                       {"policy/metadata_touches", 482180u},
+                       {"cache/l1_tiering_misses", 113740u},
+                       {"cache/llc_tiering_misses", 113739u},
+                       {"sampler/samples_taken", 561u},
+                       {"migration/promotion_batches", 28u},
+                       {"migration/promoted_pages", 35810u},
+                       {"migration/demotion_batches", 19u},
+                       {"migration/demoted_pages", 39176u},
+                       {"migration/failed_promotions", 0u},
+                       {"mem/endpoint0/accesses", 6864u},
+                       {"mem/endpoint1/accesses", 5848u},
+                       {"mem/endpoint2/accesses", 4687u}});
+  EXPECT_EQ(r.stats_tenant_visits, 0u);
+  ExpectFairShareWork(*fair, 3u, 48u, 48u, 0u);
 }
 
 }  // namespace
