@@ -24,20 +24,25 @@
  * immediately; high-frequency/low-momentum pages are *marked* with
  * their current frequency and demoted at a later revisit only if the
  * frequency did not advance (the second-chance policy, §4.3).
+ *
+ * The threshold, the promotion batch and the watermark scan are the
+ * histogram-threshold core it shares with Memtis
+ * (policies/histogram_policy.h); this class adds the two trackers and
+ * the Table-1 demotion test.
  */
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
 #include "core/trackers.h"
-#include "policies/policy.h"
+#include "policies/histogram_policy.h"
 
 namespace hybridtier {
 
-/** Tunables for HybridTier (paper defaults, time-scaled). */
-struct HybridTierConfig {
+/** Tunables for HybridTier (paper defaults, time-scaled; batching and
+ *  watermarks are in HistogramPolicyConfig). */
+struct HybridTierConfig : HistogramPolicyConfig {
   /** Estimator implementation (ablations: standard CBF, exact table). */
   EstimatorKind estimator = EstimatorKind::kBlockedCbf;
   /** Track momentum at all (false = "HybridTier-onlyFreq", Fig 15). */
@@ -48,54 +53,19 @@ struct HybridTierConfig {
   uint64_t freq_cooling_samples = 600000;
   /** Momentum tracker cooling period, in samples (low C). */
   uint64_t momentum_cooling_samples = 8000;
-  /** Promotion batch: flush after this many samples (paper: 100k). */
-  uint64_t promo_batch_samples = 2048;
-  /** CBF tracking-error probability p (paper: 0.001). */
-  double cbf_error_rate = kDefaultErrorRate;
-  /** CBF hash count k (paper: 4). */
-  uint32_t cbf_hashes = kDefaultNumHashes;
-  /** Momentum CBF is provisioned for fast_pages / this (paper: 128). */
-  uint64_t momentum_size_divisor = kMomentumSizeDivisor;
-  /** Optional override of the frequency-CBF counter count (Table 5). */
-  size_t cbf_counters_override = 0;
-  /**
-   * Demotion hysteresis: a fast-tier page counts as "low frequency" only
-   * below freq_threshold / this divisor. Pages between the two levels
-   * stay put, preventing zero-gain swaps of equally-warm pages across
-   * the admission threshold after every cooling pass.
-   */
-  uint32_t demote_hysteresis_divisor = 2;
-  /** Demote when fast free fraction falls below this (PROMO_WMARK). */
-  double demote_trigger_frac = 0.02;
-  /** Demote until fast free fraction reaches this (DEMOTE_WMARK). */
-  double demote_target_frac = 0.04;
-  /** VA-scan units examined per maintenance tick. */
-  uint64_t scan_units_per_tick = 8192;
   /** Second-chance revisit delay (paper: 1 minute, time-scaled). */
   TimeNs second_chance_revisit_ns = 300 * kMillisecond;
-  uint64_t seed = 3;
 };
 
 /** The HybridTier policy. */
-class HybridTierPolicy : public TieringPolicy {
+class HybridTierPolicy : public HistogramThresholdPolicy<HybridTierPolicy> {
  public:
   explicit HybridTierPolicy(
       const HybridTierConfig& config = HybridTierConfig{});
 
   void Bind(const PolicyContext& context) override;
-  void OnSample(const SampleRecord& sample) override;
-  void Tick(TimeNs now) override;
   size_t MetadataBytes() const override;
   const char* name() const override;
-
-  /**
-   * HybridTier is sample-driven: it never observes the demand-access
-   * stream (OnAccess stays the inherited no-op), so the simulator skips
-   * per-access policy dispatch entirely.
-   */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kNone;
-  }
 
   /** Long-term frequency estimate (the demotion-ordering signal). */
   uint32_t HotnessOf(PageId unit) const override {
@@ -105,9 +75,6 @@ class HybridTierPolicy : public TieringPolicy {
                       std::span<uint32_t> out) const override {
     freq_->GetBatch(units, out);
   }
-
-  /** Current histogram-derived frequency threshold. */
-  uint32_t freq_threshold() const { return freq_threshold_; }
 
   /** Frequency tracker (for tests/accuracy studies). */
   const AccessTracker& frequency_tracker() const { return *freq_; }
@@ -126,10 +93,9 @@ class HybridTierPolicy : public TieringPolicy {
     return second_chance_demotions_;
   }
 
-  /** Demotion VA-scan cursor, in tracking units (observability/tests). */
-  PageId scan_cursor() const { return scan_cursor_; }
-
  private:
+  friend class HistogramThresholdPolicy<HybridTierPolicy>;
+
   /** No-mark sentinel: counter estimates never reach UINT32_MAX. */
   static constexpr uint32_t kNoMark = UINT32_MAX;
 
@@ -147,25 +113,19 @@ class HybridTierPolicy : public TieringPolicy {
     }
   }
 
-  void UpdateThreshold();
-  void FlushPromotions(TimeNs now);
-  void WatermarkDemotion(TimeNs now);
+  /** Updates both trackers and the histogram; queues a slow-tier unit
+   *  that is frequency- or momentum-hot. */
+  void RecordSample(const SampleRecord& sample);
 
-  /**
-   * Scans the fast tier applying the Table-1 demotion rules until
-   * `needed` victims were demoted or the scan budget is exhausted.
-   * The demotion batch carries `reason` (watermark scan vs. demand
-   * demotion for a promotion batch). Returns the number of pages
-   * demoted.
-   */
-  uint64_t DemoteColdPages(uint64_t needed, TimeNs now,
-                           MigrationReason reason);
+  /** The scan reads the unit's pagemap entry. */
+  void TouchScanMetadata(PageId unit);
+
+  /** The Table-1 demotion rules, with `bar` the low-frequency bar. */
+  bool IsDemotionVictim(PageId unit, uint32_t bar, TimeNs now);
 
   HybridTierConfig config_;
   std::unique_ptr<AccessTracker> freq_;
   std::unique_ptr<AccessTracker> momentum_;
-  std::unique_ptr<Histogram> histogram_;
-  std::vector<PageId> pending_promotions_;
   /**
    * Second-chance marks, dense by PageId (sized at Bind, when the
    * footprint is known). The legacy unordered_map cost a hash probe per
@@ -175,13 +135,8 @@ class HybridTierPolicy : public TieringPolicy {
    */
   std::vector<SecondChanceMark> second_chance_;
   size_t second_chance_pending_ = 0;
-  uint64_t samples_seen_ = 0;
-  uint64_t samples_at_last_flush_ = 0;
-  uint32_t freq_threshold_ = 1;
   uint64_t momentum_promotions_ = 0;
   uint64_t second_chance_demotions_ = 0;
-  PageId scan_cursor_ = 0;
-  TraceEmitter::TrackId cooling_track_ = 0;  //!< Cooling-event track.
 };
 
 }  // namespace hybridtier

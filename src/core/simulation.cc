@@ -8,6 +8,11 @@
 
 namespace hybridtier {
 
+namespace {
+/** Non-memory software work per operation, charged before its accesses. */
+constexpr TimeNs kOpOverheadNs = 60;
+}  // namespace
+
 Simulation::Simulation(const SimulationConfig& config, Workload* workload,
                        TieringPolicy* policy)
     : config_(config),
@@ -64,11 +69,6 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   migration_ =
       std::make_unique<MigrationEngine>(memory_.get(), perf_.get(),
                                         config.mode);
-  // Metadata lines are buffered in the concrete counter and replayed
-  // into the hierarchy at flush points; with measurement off they are
-  // only counted, matching the legacy NullTrafficSink.
-  metadata_counter_.SetRecording(config.measure_metadata_traffic);
-
   // Resolve the telemetry sinks before Bind: the migration engine's
   // track registers first (stable tid), and the policy sees the trace
   // through its context so it can register its own tracks in Bind.
@@ -296,6 +296,9 @@ void Simulation::SetupTelemetry() {
   });
   m.AddProbe("migration/failed_promotions", [this] {
     return static_cast<double>(migration_->stats().failed_promotions);
+  });
+  m.AddProbe("migration/failed_demotions", [this] {
+    return static_cast<double>(migration_->stats().failed_demotions);
   });
   m.AddProbe("migration/time_ns", [this] {
     return static_cast<double>(migration_->stats().migration_time_ns);
@@ -665,10 +668,10 @@ void Simulation::RunOp(const OpTrace& op, TenantState* tenant) {
           : 0;
 
   now_ += op.think_time_ns;  // Idle stall preceding the accesses.
-  TimeNs op_latency = config_.op_overhead_ns;
-  now_ += config_.op_overhead_ns;
+  TimeNs op_latency = kOpOverheadNs;
+  now_ += kOpOverheadNs;
   if (attr_ != nullptr) [[unlikely]] {
-    attr_->AddOpOverhead(attr_tenant, config_.op_overhead_ns);
+    attr_->AddOpOverhead(attr_tenant, kOpOverheadNs);
   }
 
   const MemoryAccess* accesses = op.accesses.data();
@@ -845,28 +848,28 @@ SimulationResult Simulation::Run() {
   next_stats_ = config_.stats_interval_ns;
   bool warmed_up = config_.warmup_accesses == 0;
 
-  if (config_.prefault_at_start) {
-    // Application initialization: allocate the whole footprint in
-    // address order (see SimulationConfig::prefault_at_start). Tenants
-    // that have not arrived yet do not exist yet — their regions stay
-    // unallocated until their own first touches.
-    if (tenant_source_ != nullptr) {
-      for (uint32_t t = 0; t < tenant_source_->tenant_count(); ++t) {
-        if (!tenant_source_->tenant_active_at(t, 0)) continue;
-        const PageRange range = tenant_source_->tenant_units(t, config_.mode);
-        for (PageId unit = range.begin; unit < range.end; ++unit) {
-          memory_->Touch(unit, now_);
-        }
-      }
-    } else {
-      for (PageId unit = 0; unit < footprint_units_; ++unit) {
+  // Application initialization: touch the whole footprint once, in
+  // address order, before the access stream starts. Real workloads
+  // allocate and populate their heaps (cache slabs, graph CSR, training
+  // matrices) before steady state, so first-touch placement is
+  // address-ordered, not popularity-ordered. Tenants that have not
+  // arrived yet do not exist yet — their regions stay unallocated until
+  // their own first touches.
+  if (tenant_source_ != nullptr) {
+    for (uint32_t t = 0; t < tenant_source_->tenant_count(); ++t) {
+      if (!tenant_source_->tenant_active_at(t, 0)) continue;
+      const PageRange range = tenant_source_->tenant_units(t, config_.mode);
+      for (PageId unit = range.begin; unit < range.end; ++unit) {
         memory_->Touch(unit, now_);
       }
+    }
+  } else {
+    for (PageId unit = 0; unit < footprint_units_; ++unit) {
+      memory_->Touch(unit, now_);
     }
   }
 
   while (accesses_ < config_.max_accesses) {
-    if (config_.max_ops != 0 && ops_ >= config_.max_ops) break;
     if (config_.max_time_ns != 0 && now_ >= config_.max_time_ns) break;
 
     if (!workload_->NextOp(now_, &op)) break;
@@ -878,7 +881,7 @@ SimulationResult Simulation::Run() {
       // jump is clamped at the run budget so a distant arrival cannot
       // drag the tick loop past the configured end of the run.
       TimeNs target =
-          now_ + std::max<TimeNs>(op.think_time_ns, config_.op_overhead_ns);
+          now_ + std::max<TimeNs>(op.think_time_ns, kOpOverheadNs);
       if (config_.max_time_ns != 0) {
         target = std::min(target, config_.max_time_ns);
       }

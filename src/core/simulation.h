@@ -49,10 +49,8 @@ struct SimulationConfig {
   double fast_tier_fraction = 1.0 / 8;
   AllocationPolicy allocation = AllocationPolicy::kFastFirst;
   uint64_t max_accesses = 20000000;     //!< Stop after this many accesses.
-  uint64_t max_ops = 0;                 //!< 0 = unlimited.
   TimeNs max_time_ns = 0;               //!< 0 = unlimited.
   uint64_t warmup_accesses = 0;         //!< Reset measurement stats after.
-  TimeNs op_overhead_ns = 60;           //!< Non-memory work per op.
   uint64_t sample_period = 61;          //!< PEBS period (accesses/sample).
   size_t sample_buffer = 8192;          //!< PEBS buffer depth.
   /**
@@ -120,15 +118,6 @@ struct SimulationConfig {
   bool watchdog = false;
   /** Failover behavior knobs (only read when `faults` is non-empty). */
   FaultRuntimeConfig fault_runtime;
-  bool measure_metadata_traffic = true; //!< Replay metadata lines in LLC.
-  /**
-   * Touch the whole address space once (in address order) before the
-   * access stream starts, modeling application initialization: real
-   * workloads allocate and populate their heaps (cache slabs, graph
-   * CSR, training matrices) before steady state, so first-touch
-   * placement is address-ordered, not popularity-ordered.
-   */
-  bool prefault_at_start = true;
   uint64_t seed = 1;                    //!< Sampler jitter seed.
   /**
    * Optional telemetry sinks (metrics registry, trace emitter, latency

@@ -62,18 +62,8 @@ void HintFaultPolicy::OnAccess(PageId unit, const TouchResult& touch,
 
 void HintFaultPolicy::WatermarkDemotion(TimeNs now) {
   TieredMemory& mem = memory();
-  const uint64_t capacity = mem.Capacity(Tier::kFast);
-  if (capacity == 0) return;
-  const double free_frac =
-      static_cast<double>(mem.FreePages(Tier::kFast)) /
-      static_cast<double>(capacity);
-  if (free_frac >= config_.demote_trigger_frac) return;
-
-  const uint64_t target_free = static_cast<uint64_t>(
-      config_.demote_target_frac * static_cast<double>(capacity));
-  uint64_t needed = target_free > mem.FreePages(Tier::kFast)
-                        ? target_free - mem.FreePages(Tier::kFast)
-                        : 0;
+  const uint64_t needed = WatermarkDeficit(mem, config_.demote_trigger_frac,
+                                           config_.demote_target_frac);
   if (needed == 0) return;
 
   std::vector<PageId> victims;

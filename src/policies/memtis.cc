@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "policies/scan_util.h"
 
 namespace hybridtier {
 
@@ -17,20 +16,15 @@ constexpr uint64_t kHistBase = 1ULL << 47;     // Histogram buckets.
 constexpr uint64_t kPagemapBase = 1ULL << 48;  // Demotion scan pagemap.
 }  // namespace
 
-MemtisPolicy::MemtisPolicy(const MemtisConfig& config) : config_(config) {
+MemtisPolicy::MemtisPolicy(const MemtisConfig& config)
+    : HistogramThresholdPolicy(config, "policy/Memtis"), config_(config) {
   HT_ASSERT(config.cooling_period_samples > 0, "cooling period must be > 0");
-  HT_ASSERT(config.demote_target_frac >= config.demote_trigger_frac,
-            "demotion target watermark below trigger watermark");
 }
 
 void MemtisPolicy::Bind(const PolicyContext& context) {
   TieringPolicy::Bind(context);
   counters_ = std::make_unique<ExactCounterTable>(context.footprint_units);
-  histogram_ = std::make_unique<Histogram>(config_.hist_max);
-  hot_threshold_ = 1;
-  if (context.trace != nullptr) {
-    cooling_track_ = context.trace->Track("policy/Memtis");
-  }
+  BindHistogram(kHistMax);
 }
 
 void MemtisPolicy::TouchSampleMetadata(PageId unit, uint32_t bucket) {
@@ -46,22 +40,16 @@ void MemtisPolicy::TouchSampleMetadata(PageId unit, uint32_t bucket) {
   sink().Touch(kHistBase + (bucket / 8) * kCacheLineSize);
 }
 
-void MemtisPolicy::UpdateThreshold() {
-  // The threshold fills the fast tier with the hottest pages; never
-  // below 1 so untouched pages are not "hot".
-  hot_threshold_ = std::max<uint32_t>(
-      1, histogram_->ThresholdForBudget(context().fast_capacity_units));
+void MemtisPolicy::TouchScanMetadata(PageId unit) {
+  sink().Touch(kPagemapBase + (unit / 8) * kCacheLineSize);
+  sink().Touch(kMetaBase + (unit / 4) * kCacheLineSize);
 }
 
-void MemtisPolicy::OnSample(const SampleRecord& sample) {
-  ++samples_seen_;
-
-  const uint32_t old_count =
-      std::min<uint32_t>(static_cast<uint32_t>(
-                             counters_->RawCount(sample.page)),
-                         config_.hist_max);
+void MemtisPolicy::RecordSample(const SampleRecord& sample) {
+  const uint32_t old_count = std::min<uint32_t>(
+      static_cast<uint32_t>(counters_->RawCount(sample.page)), kHistMax);
   counters_->Increment(sample.page);
-  const uint32_t new_count = std::min(old_count + 1, config_.hist_max);
+  const uint32_t new_count = std::min(old_count + 1, kHistMax);
   if (new_count != old_count) {
     histogram_->Remove(old_count);
     histogram_->Add(new_count);
@@ -69,23 +57,16 @@ void MemtisPolicy::OnSample(const SampleRecord& sample) {
   TouchSampleMetadata(sample.page, new_count);
 
   // Promotion candidate?
-  if (sample.tier == Tier::kSlow && new_count >= hot_threshold_) {
-    pending_promotions_.push_back(sample.page);
+  if (sample.tier == Tier::kSlow && new_count >= threshold()) {
+    QueuePromotion(sample.page);
   }
 
   // Periodic cooling: the EMA freshness mechanism.
-  if (samples_seen_ - samples_at_last_cooling_ >=
+  if (samples_seen() - samples_at_last_cooling_ >=
       config_.cooling_period_samples) {
-    samples_at_last_cooling_ = samples_seen_;
+    samples_at_last_cooling_ = samples_seen();
     counters_->CoolByHalving();
-    histogram_->CoolByHalving();
-    ++coolings_;
-    if (DecisionAudit* audit = migration().audit()) audit->RecordCooling();
-    if (context().trace != nullptr) {
-      context().trace->Instant(
-          cooling_track_, "cooling", sample.time_ns,
-          {{"coolings", static_cast<double>(coolings_)}});
-    }
+    CoolHistogram(sample.time_ns, ++coolings_);
     // Cooling rewrites every metadata record: a full sweep of the
     // counter array plus the histogram.
     const uint64_t meta_lines = counters_->memory_bytes() / kCacheLineSize;
@@ -94,97 +75,12 @@ void MemtisPolicy::OnSample(const SampleRecord& sample) {
     }
     UpdateThreshold();
   }
-
-  // Batched promotion flush.
-  if (samples_seen_ - samples_at_last_flush_ >=
-      config_.promo_batch_samples) {
-    samples_at_last_flush_ = samples_seen_;
-    UpdateThreshold();
-    if (!pending_promotions_.empty()) {
-      // A hot page is sampled many times per batch; migrate it once.
-      std::sort(pending_promotions_.begin(), pending_promotions_.end());
-      pending_promotions_.erase(
-          std::unique(pending_promotions_.begin(),
-                      pending_promotions_.end()),
-          pending_promotions_.end());
-      // Demand demotion first, mirroring kmigrated making room.
-      const uint64_t free_pages = memory().FreePages(Tier::kFast);
-      if (free_pages < pending_promotions_.size()) {
-        DemoteColdPages(pending_promotions_.size() - free_pages,
-                        sample.time_ns, MigrationReason::kCapacityDemand);
-      }
-      migration().Promote(pending_promotions_, sample.time_ns,
-                          MigrationReason::kHotnessRank);
-      pending_promotions_.clear();
-    }
-  }
-}
-
-void MemtisPolicy::WatermarkDemotion(TimeNs now) {
-  TieredMemory& mem = memory();
-  const uint64_t capacity = mem.Capacity(Tier::kFast);
-  if (capacity == 0) return;
-  const double free_frac =
-      static_cast<double>(mem.FreePages(Tier::kFast)) /
-      static_cast<double>(capacity);
-  if (free_frac >= config_.demote_trigger_frac) return;
-
-  const uint64_t target_free = static_cast<uint64_t>(
-      config_.demote_target_frac * static_cast<double>(capacity));
-  const uint64_t needed = target_free > mem.FreePages(Tier::kFast)
-                              ? target_free - mem.FreePages(Tier::kFast)
-                              : 0;
-  if (needed > 0) DemoteColdPages(needed, now, MigrationReason::kWatermark);
-}
-
-uint64_t MemtisPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
-                                       MigrationReason reason) {
-  TieredMemory& mem = memory();
-  std::vector<PageId> victims;
-  const uint64_t footprint = context().footprint_units;
-
-  const uint32_t demote_below = std::max<uint32_t>(
-      1, hot_threshold_ / std::max<uint32_t>(
-                              1, config_.demote_hysteresis_divisor));
-  // Incremental linear scan (kswapd-style). The strict phase takes only
-  // clearly-cold pages (hysteresis); if starved, the relaxed phase takes
-  // any sub-threshold page.
-  for (const uint32_t bar : {demote_below, hot_threshold_}) {
-    BudgetedResidentScan(
-        mem, &scan_cursor_, footprint, config_.scan_units_per_tick,
-        Tier::kFast, [&] { return victims.size() >= needed; },
-        [&](PageId unit) {
-          // The scan reads the pagemap entry and the counter record.
-          sink().Touch(kPagemapBase + (unit / 8) * kCacheLineSize);
-          sink().Touch(kMetaBase + (unit / 4) * kCacheLineSize);
-          if (counters_->RawCount(unit) < bar &&
-              victims.size() < needed) {
-            victims.push_back(unit);
-          }
-        });
-    if (victims.size() >= needed) break;
-  }
-
-  // The relaxed pass can rescan a wrapped cursor range; demote once.
-  std::sort(victims.begin(), victims.end());
-  victims.erase(std::unique(victims.begin(), victims.end()),
-                victims.end());
-  if (!victims.empty()) {
-    migration().Demote(victims, now, reason);
-  }
-  return victims.size();
-}
-
-void MemtisPolicy::Tick(TimeNs now) {
-  UpdateThreshold();
-  WatermarkDemotion(now);
 }
 
 size_t MemtisPolicy::MetadataBytes() const {
   // 16 B per page over *all* memory (the paper's 0.39% figure) plus the
   // histogram.
-  return counters_->memory_bytes() +
-         histogram_->buckets().size() * sizeof(uint64_t);
+  return counters_->memory_bytes() + HistogramBytes();
 }
 
 }  // namespace hybridtier

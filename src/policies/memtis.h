@@ -16,50 +16,33 @@
  *    the EMA freshness mechanism whose lag the paper analyzes in Fig 3;
  *  - pages whose counter crosses the threshold are promoted in batches;
  *    background watermark demotion scans evict sub-threshold pages.
+ *
+ * The threshold, batching and watermark scan are the histogram-threshold
+ * core it shares with HybridTier (policies/histogram_policy.h); this
+ * class adds the counter table, its metadata lines and the cooling.
  */
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "common/histogram.h"
-#include "policies/policy.h"
+#include "policies/histogram_policy.h"
 #include "probstruct/exact_table.h"
 
 namespace hybridtier {
 
-/** Tunables for the Memtis baseline. */
-struct MemtisConfig {
+/** Tunables for the Memtis baseline (batching and watermarks are in
+ *  HistogramPolicyConfig). */
+struct MemtisConfig : HistogramPolicyConfig {
   /** Halve all counters every this many samples (the paper's C). */
   uint64_t cooling_period_samples = 150000;
-  /** Flush pending promotions every this many samples. */
-  uint64_t promo_batch_samples = 2048;
-  /** Histogram cap for counter values. */
-  uint32_t hist_max = 127;
-  /** Demotion hysteresis divisor: victims need count < threshold/this. */
-  uint32_t demote_hysteresis_divisor = 2;
-  /** Begin demoting when fast free fraction falls below this. */
-  double demote_trigger_frac = 0.02;
-  /** Demote until fast free fraction reaches this. */
-  double demote_target_frac = 0.04;
-  /** Address-space units examined per maintenance tick. */
-  uint64_t scan_units_per_tick = 8192;
 };
 
 /** Frequency-histogram tiering baseline. */
-class MemtisPolicy : public TieringPolicy {
+class MemtisPolicy : public HistogramThresholdPolicy<MemtisPolicy> {
  public:
   explicit MemtisPolicy(const MemtisConfig& config = MemtisConfig{});
 
   void Bind(const PolicyContext& context) override;
-  void OnSample(const SampleRecord& sample) override;
-  /** Sample-driven: never observes the demand stream (OnAccess stays
-   *  the inherited no-op), so per-access dispatch is skipped. */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kNone;
-  }
-
-  void Tick(TimeNs now) override;
   size_t MetadataBytes() const override;
   const char* name() const override { return "Memtis"; }
 
@@ -72,41 +55,34 @@ class MemtisPolicy : public TieringPolicy {
     counters_->GetBatch(units, out);
   }
 
-  /** Current histogram-derived hotness threshold. */
-  uint32_t hot_threshold() const { return hot_threshold_; }
-
   /** Cooling passes performed. */
   uint64_t coolings() const { return coolings_; }
 
-  /** Read-only view of the hotness histogram. */
-  const Histogram& histogram() const { return *histogram_; }
-
  private:
-  /** Recomputes the hotness threshold from the histogram. */
-  void UpdateThreshold();
+  friend class HistogramThresholdPolicy<MemtisPolicy>;
 
-  /** Demotes up to `needed` sub-threshold fast pages, stamping the
-   *  batch with `reason`; returns the count. */
-  uint64_t DemoteColdPages(uint64_t needed, TimeNs now,
-                           MigrationReason reason);
+  /** Histogram cap for counter values. */
+  static constexpr uint32_t kHistMax = 127;
+
+  /** Counts the sample, queues a hot slow-tier page, cools on period. */
+  void RecordSample(const SampleRecord& sample);
+
+  /** The scan reads the pagemap entry and the counter record. */
+  void TouchScanMetadata(PageId unit);
+
+  /** A fast page is a victim when its count is below `bar`. */
+  bool IsDemotionVictim(PageId unit, uint32_t bar, TimeNs now) const {
+    (void)now;
+    return counters_->RawCount(unit) < bar;
+  }
 
   /** Emits the metadata lines one sampled update touches. */
   void TouchSampleMetadata(PageId unit, uint32_t bucket);
 
-  /** Runs the incremental demotion scan if below the watermark. */
-  void WatermarkDemotion(TimeNs now);
-
   MemtisConfig config_;
   std::unique_ptr<ExactCounterTable> counters_;
-  std::unique_ptr<Histogram> histogram_;
-  std::vector<PageId> pending_promotions_;
-  uint64_t samples_seen_ = 0;
-  uint64_t samples_at_last_flush_ = 0;
   uint64_t samples_at_last_cooling_ = 0;
-  uint32_t hot_threshold_ = 1;
   uint64_t coolings_ = 0;
-  PageId scan_cursor_ = 0;
-  TraceEmitter::TrackId cooling_track_ = 0;  //!< Cooling-event track.
 };
 
 }  // namespace hybridtier

@@ -56,8 +56,8 @@ namespace hybridtier {
  * at the next flush point — in exactly the order they were reported, so
  * the modeled LLC sees the same access sequence as before.
  *
- * When recording is off (overhead-free runs and unit tests that only
- * count traffic) lines are dropped and only the counter advances.
+ * When recording is off (unit tests that only count traffic) lines
+ * are dropped and only the counter advances.
  */
 class MetadataTrafficCounter {
  public:

@@ -3,11 +3,13 @@
 
 /**
  * @file
- * Budgeted, wrapping resident-page scan shared by the demotion paths of
- * the tiering policies (HybridTier, Memtis, TPP, AutoNUMA). Each policy
- * walks the pagemap in chunks against a per-tick unit budget; keeping
- * the chunking and cursor arithmetic in one place keeps the accounting
- * (charge what was visited, wrap at the footprint) from diverging.
+ * The free-page watermark and the budgeted, wrapping resident-page scan
+ * shared by the demotion paths of the tiering policies (HybridTier,
+ * Memtis, TPP, AutoNUMA). Each policy demotes when the fast tier's free
+ * fraction drops under a trigger watermark, walking the pagemap in
+ * chunks against a per-tick unit budget; keeping the deficit, chunking
+ * and cursor arithmetic in one place keeps the accounting (charge what
+ * was visited, wrap at the footprint) from diverging.
  */
 
 #include <algorithm>
@@ -17,6 +19,25 @@
 #include "mem/tiered_memory.h"
 
 namespace hybridtier {
+
+/**
+ * TPP-style watermark deficit: 0 while the fast tier's free fraction is
+ * at or above `trigger_frac` (or the tier is empty); otherwise the pages
+ * that must be freed to bring it up to `target_frac`.
+ */
+inline uint64_t WatermarkDeficit(const TieredMemory& memory,
+                                 double trigger_frac, double target_frac) {
+  const uint64_t capacity = memory.Capacity(Tier::kFast);
+  if (capacity == 0) return 0;
+  const uint64_t free_pages = memory.FreePages(Tier::kFast);
+  if (static_cast<double>(free_pages) / static_cast<double>(capacity) >=
+      trigger_frac) {
+    return 0;
+  }
+  const uint64_t target_free =
+      static_cast<uint64_t>(target_frac * static_cast<double>(capacity));
+  return target_free > free_pages ? target_free - free_pages : 0;
+}
 
 /**
  * Scans resident pages of `tier` from `*cursor` in chunks of up to 1024

@@ -194,7 +194,7 @@ TEST(HybridTier, MomentumPromotesNewHotPages) {
     policy.OnSample(harness.Sample(50, kMillisecond + i));
   }
   policy.Tick(2 * kMillisecond);  // Watermark demotion frees headroom.
-  ASSERT_GT(policy.freq_threshold(), 4u);
+  ASSERT_GT(policy.threshold(), 4u);
   ASSERT_GT(harness.memory().FreePages(Tier::kFast), 0u);
 
   // A cold page suddenly becomes hot: momentum (threshold 3) catches it

@@ -228,31 +228,84 @@ constexpr GoldenCell kPreRefactorGoldens[] = {
      0ull},
 };
 
+/** Runs one golden cell and checks every field of `golden`. */
+void ExpectGoldenCell(const GoldenCell& golden, TieringPolicy* policy,
+                      PageMode mode) {
+  auto workload = MakeWorkload(
+      golden.workload,
+      std::string(golden.workload) == "zipf" ? 1.0 : 2.0, 11);
+  SimulationConfig config;
+  config.mode = mode;
+  config.max_accesses = 400000;
+  config.seed = 11;
+  const SimulationResult r = RunSimulation(config, workload.get(), policy);
+  EXPECT_EQ(r.ops, golden.ops);
+  EXPECT_EQ(r.accesses, golden.accesses);
+  EXPECT_EQ(r.duration_ns, golden.duration_ns);
+  EXPECT_EQ(r.fast_mem_accesses, golden.fast_mem);
+  EXPECT_EQ(r.slow_mem_accesses, golden.slow_mem);
+  EXPECT_EQ(r.hint_faults, golden.hint_faults);
+  EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
+  EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
+  EXPECT_EQ(r.samples_taken, golden.samples_taken);
+  EXPECT_EQ(r.l1_app_misses, golden.l1_app);
+  EXPECT_EQ(r.llc_app_misses, golden.llc_app);
+  EXPECT_EQ(r.l1_tiering_misses, golden.l1_tier);
+  EXPECT_EQ(r.llc_tiering_misses, golden.llc_tier);
+}
+
 TEST(Determinism, RefactoredEngineReproducesPreRefactorGoldens) {
   for (const GoldenCell& golden : kPreRefactorGoldens) {
     SCOPED_TRACE(std::string(golden.workload) + "/" + golden.policy);
-    auto workload = MakeWorkload(
-        golden.workload,
-        std::string(golden.workload) == "zipf" ? 1.0 : 2.0, 11);
     auto policy = MakePolicy(golden.policy);
-    SimulationConfig config;
-    config.max_accesses = 400000;
-    config.seed = 11;
-    const SimulationResult r =
-        RunSimulation(config, workload.get(), policy.get());
-    EXPECT_EQ(r.ops, golden.ops);
-    EXPECT_EQ(r.accesses, golden.accesses);
-    EXPECT_EQ(r.duration_ns, golden.duration_ns);
-    EXPECT_EQ(r.fast_mem_accesses, golden.fast_mem);
-    EXPECT_EQ(r.slow_mem_accesses, golden.slow_mem);
-    EXPECT_EQ(r.hint_faults, golden.hint_faults);
-    EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
-    EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
-    EXPECT_EQ(r.samples_taken, golden.samples_taken);
-    EXPECT_EQ(r.l1_app_misses, golden.l1_app);
-    EXPECT_EQ(r.llc_app_misses, golden.llc_app);
-    EXPECT_EQ(r.l1_tiering_misses, golden.l1_tier);
-    EXPECT_EQ(r.llc_tiering_misses, golden.llc_tier);
+    ExpectGoldenCell(golden, policy.get(), PageMode::kRegular);
+  }
+}
+
+// The HybridTier ablation variants (Fig 14/15 estimators and the
+// momentum-less tracker) and both histogram-threshold policies in
+// huge-page mode (16-bit counters, Fig 12), with the end-of-run
+// metadata footprint (Table 4 metric; HybridTier's includes the pending
+// second-chance marks). Captured before HybridTier and Memtis were
+// moved onto one histogram-threshold core, which reproduces them
+// bit-for-bit.
+struct VariantGolden {
+  GoldenCell cell;
+  PageMode mode;
+  uint64_t metadata_bytes;
+};
+
+constexpr VariantGolden kVariantGoldens[] = {
+    {{"zipf", "HybridTier-onlyFreq", 100000ull, 400000ull, 39902518ull,
+      112960ull, 186190ull, 0ull, 2461ull, 2461ull, 6564ull, 382878ull,
+      299150ull, 9032ull, 8151ull},
+     PageMode::kRegular, 106784ull},
+    {{"zipf", "HybridTier-CBF", 100000ull, 400000ull, 40129588ull,
+      114672ull, 186832ull, 0ull, 2461ull, 2706ull, 6564ull, 382878ull,
+      301504ull, 54805ull, 28400ull},
+     PageMode::kRegular, 125912ull},
+    {{"zipf", "HybridTier-exact", 100000ull, 400000ull, 39965222ull,
+      113556ull, 186388ull, 0ull, 2461ull, 2461ull, 6564ull, 382878ull,
+      299944ull, 16065ull, 15950ull},
+     PageMode::kRegular, 1612640ull},
+    {{"cdn", "HybridTier", 60662ull, 400006ull, 72779607ull, 97953ull,
+      250914ull, 0ull, 257ull, 257ull, 6564ull, 382570ull, 348867ull,
+      46706ull, 5579ull},
+     PageMode::kHuge, 54800ull},
+    {{"cdn", "Memtis", 60662ull, 400006ull, 82526685ull, 103385ull,
+      245573ull, 0ull, 339ull, 349ull, 6564ull, 382570ull, 348958ull,
+      11379ull, 6280ull},
+     PageMode::kHuge, 34736ull},
+};
+
+TEST(Determinism, PolicyVariantsReproduceGoldens) {
+  for (const VariantGolden& golden : kVariantGoldens) {
+    SCOPED_TRACE(std::string(golden.cell.workload) + "/" +
+                 golden.cell.policy +
+                 (golden.mode == PageMode::kHuge ? "/huge" : ""));
+    auto policy = MakePolicy(golden.cell.policy);
+    ExpectGoldenCell(golden.cell, policy.get(), golden.mode);
+    EXPECT_EQ(policy->MetadataBytes(), golden.metadata_bytes);
   }
 }
 
@@ -476,6 +529,7 @@ TEST(Determinism, EndpointAwareFailoverReproducesGolden) {
                        {"migration/demotion_batches", 19u},
                        {"migration/demoted_pages", 39176u},
                        {"migration/failed_promotions", 0u},
+                       {"migration/failed_demotions", 33055u},
                        {"mem/endpoint0/accesses", 6864u},
                        {"mem/endpoint1/accesses", 5848u},
                        {"mem/endpoint2/accesses", 4687u}});

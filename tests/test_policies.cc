@@ -212,7 +212,7 @@ TEST(Memtis, ThresholdTracksBudget) {
   }
   policy.Tick(kMillisecond);
   // Budget 10 < 100 warm pages: the threshold must exceed 1.
-  EXPECT_GT(policy.hot_threshold(), 1u);
+  EXPECT_GT(policy.threshold(), 1u);
 }
 
 TEST(Memtis, CoolingHalvesCounters) {
